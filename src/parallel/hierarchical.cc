@@ -94,6 +94,25 @@ struct BackwardUnit {
   double base_seconds = 0;  ///< modeled forward cost of the unit
 };
 
+/// Disarms the backward hooks on scope exit, exceptions included: a
+/// replica that throws mid-step must not leave them counting events
+/// when a caller later drives a replica's backward directly.
+class HookArmGuard {
+ public:
+  HookArmGuard(bool& step_active, bool& overlap_active)
+      : step_active_(step_active), overlap_active_(overlap_active) {}
+  ~HookArmGuard() {
+    step_active_ = false;
+    overlap_active_ = false;
+  }
+  HookArmGuard(const HookArmGuard&) = delete;
+  HookArmGuard& operator=(const HookArmGuard&) = delete;
+
+ private:
+  bool& step_active_;
+  bool& overlap_active_;
+};
+
 }  // namespace
 
 HierarchicalTrainer::HierarchicalTrainer(
@@ -364,11 +383,9 @@ HierStepReport HierarchicalTrainer::train_step(
   }
 
   step_live_ranks_ = report.live_ranks;
-  overlap_active_ = options.overlap;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     bucket_events_[b].store(0, std::memory_order_relaxed);
   }
-  step_active_ = true;
 
   // Concurrent per-rank forward/backward, one pool chunk per rank.
   // Per-rank stats land in per-rank slots and reduce below in ascending
@@ -379,6 +396,9 @@ HierStepReport HierarchicalTrainer::train_step(
   std::vector<double> rank_loss(n_ranks, 0.0);
   std::vector<std::int64_t> rank_correct(n_ranks, 0);
   std::vector<std::int64_t> rank_samples(n_ranks, 0);
+  HookArmGuard disarm_on_exit(step_active_, overlap_active_);
+  overlap_active_ = options.overlap;
+  step_active_ = true;
   runtime::parallel_for(
       0, static_cast<std::int64_t>(n_ranks), 1,
       [&](std::int64_t r0, std::int64_t r1) {
@@ -396,7 +416,6 @@ HierStepReport HierarchicalTrainer::train_step(
           rank_samples[rank] = samples;
         }
       });
-  step_active_ = false;
 
   std::int64_t total_samples = 0;
   for (std::size_t rank = 0; rank < n_ranks; ++rank) {

@@ -182,7 +182,8 @@ struct HierStepReport {
 /// Data-parallel training over a node x CG hierarchy. One full replica
 /// per rank; all replicas share one BackendContext after compile() (one
 /// Handle, one plan cache). Replicas step concurrently on the host task
-/// pool; gradient exchange follows the canonical reduction above.
+/// pool; gradient exchange follows the canonical reduction above. Plain
+/// N-node data parallelism is the HierTopology::grid(N, 1) case.
 class HierarchicalTrainer {
  public:
   HierarchicalTrainer(const HierTopology& topology,
@@ -199,10 +200,13 @@ class HierarchicalTrainer {
     return *replicas_.at(static_cast<std::size_t>(rank));
   }
 
-  /// Compiles every replica for the per-rank shard shape against one
-  /// shared BackendContext (see DataParallelTrainer::compile). Also
-  /// builds the gradient buckets from the compiled graph's backward
-  /// node order. `spec` = nullptr uses the real SW26010 numbers.
+  /// Compiles every replica for the per-rank shard shape against ONE
+  /// shared BackendContext (one Handle, one plan cache): replicas run
+  /// identical shapes, so the first replica's plan warm-up serves all
+  /// of them, and fault/fallback accounting aggregates in one place.
+  /// Also builds the gradient buckets from the compiled graph's
+  /// backward node order. `spec` = nullptr uses the real SW26010
+  /// numbers.
   void compile(const std::vector<std::int64_t>& shard_input_dims,
                const arch::Sw26010Spec* spec = nullptr);
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/conv/mesh_gemm_driver.h"
@@ -36,16 +38,23 @@ std::vector<double> host_gemm_km(const std::vector<double>& a,
   return out;
 }
 
+// GoogleTest prints a parameter without a PrintTo as its raw bytes, and
+// gtest_discover_tests puts that text into each case's CTest name. The four
+// bytes after `mesh` used to be uninitialised padding, so the names changed
+// with every build's heap addresses. `name_bytes` fills them with fixed
+// values, the ones these cases were first registered under: zero for the
+// first case, 0x55EA for the rest.
 struct GemmCase {
   int mesh;
+  std::uint32_t name_bytes;
   std::int64_t m, k, n;
   std::int64_t k_chunk;  // 0 = auto
   std::string label;
 };
 
 GemmCase gc(int mesh, std::int64_t m, std::int64_t k, std::int64_t n,
-            std::int64_t k_chunk = 0) {
-  return {mesh, m, k, n, k_chunk,
+            std::int64_t k_chunk = 0, std::uint32_t name_bytes = 0x55EA) {
+  return {mesh, name_bytes, m, k, n, k_chunk,
           "mesh" + std::to_string(mesh) + "_m" + std::to_string(m) + "k" +
               std::to_string(k) + "n" + std::to_string(n) + "c" +
               std::to_string(k_chunk)};
@@ -79,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, MeshGemmDriver,
     ::testing::Values(
         // Divisible tiles.
-        gc(2, 4, 4, 4), gc(2, 8, 6, 4), gc(4, 8, 8, 8),
+        gc(2, 4, 4, 4, 0, 0), gc(2, 8, 6, 4), gc(4, 8, 8, 8),
         // Ragged in every dimension.
         gc(2, 3, 5, 7), gc(2, 1, 1, 1), gc(4, 5, 9, 6), gc(4, 7, 3, 13),
         // Dimensions smaller than the mesh.

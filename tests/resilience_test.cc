@@ -1,6 +1,6 @@
-// Self-healing training: the fault-aware ring all-reduce, losing and
-// reviving ranks mid-training, and the Trainer's checkpoint/rollback
-// path for corrupted or faulting steps.
+// Self-healing training: the Trainer's checkpoint/rollback path for
+// corrupted or faulting steps. (Losing and reviving data-parallel ranks
+// is covered by parallel_hier_test.)
 
 #include <gtest/gtest.h>
 
@@ -13,141 +13,19 @@
 #include "src/dnn/fully_connected.h"
 #include "src/dnn/relu.h"
 #include "src/dnn/trainer.h"
-#include "src/parallel/data_parallel.h"
 #include "src/util/rng.h"
 
-namespace swdnn::parallel {
+namespace swdnn::dnn {
 namespace {
 
-TEST(ResilientAllreduce, MatchesPlainRingOverTheSurvivors) {
-  util::Rng rng(31);
-  const std::size_t len = 17;
-  std::vector<std::vector<double>> data(4, std::vector<double>(len));
-  for (auto& d : data) rng.fill_uniform(d, -1, 1);
-  std::vector<std::vector<double>> survivors = {data[0], data[1], data[3]};
-
-  std::vector<std::span<double>> spans;
-  for (auto& d : data) spans.emplace_back(d);
-  ring_allreduce_resilient(spans, {true, true, false, true}, ReduceOp::kSum);
-
-  std::vector<std::span<double>> survivor_spans;
-  for (auto& d : survivors) survivor_spans.emplace_back(d);
-  ring_allreduce(survivor_spans, ReduceOp::kSum);
-
-  for (const int r : {0, 1, 3}) {
-    for (std::size_t i = 0; i < len; ++i) {
-      ASSERT_NEAR(data[static_cast<std::size_t>(r)][i], survivors[0][i],
-                  1e-12)
-          << "rank " << r << " i " << i;
-    }
-  }
-}
-
-TEST(ResilientAllreduce, AverageRescalesToLiveCountAndSkipsTheDead) {
-  std::vector<std::vector<double>> data = {{2, 4}, {4, 8}, {6, 12}};
-  std::vector<std::span<double>> spans;
-  for (auto& d : data) spans.emplace_back(d);
-  ring_allreduce_resilient(spans, {true, true, false}, ReduceOp::kAverage);
-  for (const int r : {0, 1}) {
-    EXPECT_NEAR(data[static_cast<std::size_t>(r)][0], 3.0, 1e-12);
-    EXPECT_NEAR(data[static_cast<std::size_t>(r)][1], 6.0, 1e-12);
-  }
-  // The dead rank's buffer was neither read nor written.
-  EXPECT_EQ(data[2][0], 6.0);
-  EXPECT_EQ(data[2][1], 12.0);
-}
-
-TEST(ResilientAllreduce, ValidatesAliveMaskAndSurvivorCount) {
-  std::vector<double> a(4), b(4);
-  std::vector<std::span<double>> spans = {a, b};
-  EXPECT_THROW(ring_allreduce_resilient(spans, {true}),
-               std::invalid_argument);
-  EXPECT_THROW(ring_allreduce_resilient(spans, {false, false}),
-               std::invalid_argument);
-}
-
 std::unique_ptr<dnn::Network> make_net(std::int64_t batch) {
-  util::Rng rng(555);  // fixed seed: replicas identical
+  util::Rng rng(555);  // fixed seed
   auto net = std::make_unique<dnn::Network>();
   net->emplace<dnn::Convolution>(
       conv::ConvShape::from_output(batch, 1, 2, 2, 2, 3, 3), rng);
   net->emplace<dnn::Relu>();
   net->emplace<dnn::FullyConnected>(2 * 2 * 2, 3, rng);
   return net;
-}
-
-std::vector<dnn::Batch> make_shards(dnn::SyntheticBars& data, int nodes,
-                                    std::int64_t batch) {
-  std::vector<dnn::Batch> shards;
-  for (int node = 0; node < nodes; ++node) shards.push_back(data.sample(batch));
-  return shards;
-}
-
-TEST(DataParallelResilience, TrainingConvergesOnSurvivorsAfterAKill) {
-  // The acceptance scenario: kill one rank mid-training; the ring is
-  // rebuilt over the survivors, the replicas stay in lockstep, and the
-  // loss keeps going down.
-  DataParallelTrainer dp(3, [] { return make_net(4); }, 0.3);
-  dnn::SyntheticBars data(4, 3, 0.05, 68);
-
-  double early = 0;
-  for (int step = 0; step < 5; ++step) {
-    const auto r = dp.train_step(make_shards(data, 3, 4));
-    EXPECT_EQ(r.live_nodes, 3);
-    early += r.loss;
-  }
-  early /= 5;
-
-  dp.kill_rank(1);
-  EXPECT_FALSE(dp.rank_alive(1));
-  EXPECT_EQ(dp.live_ranks(), 2);
-
-  double late = 0;
-  for (int step = 0; step < 35; ++step) {
-    const auto r = dp.train_step(make_shards(data, 3, 4));
-    EXPECT_EQ(r.live_nodes, 2);
-    if (step >= 30) late += r.loss;
-  }
-  late /= 5;
-
-  EXPECT_LT(late, early);
-  EXPECT_LE(dp.max_replica_divergence(), 1e-12);  // survivors in lockstep
-}
-
-TEST(DataParallelResilience, RevivedRankRejoinsInLockstepWithMomentum) {
-  DataParallelTrainer dp(3, [] { return make_net(2); }, 0.2, 0.9);
-  dnn::SyntheticBars data(4, 3, 0.05, 69);
-  for (int step = 0; step < 3; ++step) {
-    dp.train_step(make_shards(data, 3, 2));
-  }
-  dp.kill_rank(2);
-  for (int step = 0; step < 3; ++step) {
-    dp.train_step(make_shards(data, 3, 2));
-  }
-  dp.revive_rank(2);
-  EXPECT_TRUE(dp.rank_alive(2));
-  EXPECT_EQ(dp.live_ranks(), 3);
-  // Momentum state was copied with the parameters, so the revived rank
-  // stays bit-identical through further updates.
-  for (int step = 0; step < 3; ++step) {
-    dp.train_step(make_shards(data, 3, 2));
-  }
-  EXPECT_LE(dp.max_replica_divergence(), 1e-12);
-}
-
-TEST(DataParallelResilience, AllRanksDeadIsAnError) {
-  DataParallelTrainer dp(2, [] { return make_net(2); }, 0.1);
-  dnn::SyntheticBars data(4, 3, 0.05, 70);
-  dp.kill_rank(0);
-  dp.kill_rank(1);
-  EXPECT_THROW(dp.train_step(make_shards(data, 2, 2)), std::runtime_error);
-}
-
-TEST(DataParallelResilience, ReviveWithNoSurvivorsThrows) {
-  DataParallelTrainer dp(2, [] { return make_net(2); }, 0.1);
-  dp.kill_rank(0);
-  dp.kill_rank(1);
-  EXPECT_THROW(dp.revive_rank(0), std::runtime_error);
 }
 
 std::vector<std::vector<double>> snapshot(dnn::Network& net) {
@@ -265,4 +143,4 @@ TEST(TrainerResilience, TrainingConvergesFromTheLastCheckpointAfterAFault) {
 }
 
 }  // namespace
-}  // namespace swdnn::parallel
+}  // namespace swdnn::dnn
