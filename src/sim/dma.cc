@@ -26,48 +26,33 @@ std::uint64_t DmaEngine::cost(std::uint64_t bytes, std::int64_t block_bytes,
 }
 
 void DmaEngine::add_shard(const DmaShard& shard) {
-  get_bytes_.fetch_add(shard.get_bytes, std::memory_order_relaxed);
-  put_bytes_.fetch_add(shard.put_bytes, std::memory_order_relaxed);
-  requests_.fetch_add(shard.requests, std::memory_order_relaxed);
-  misaligned_.fetch_add(shard.misaligned_requests, std::memory_order_relaxed);
-  total_cycles_.fetch_add(shard.cycles, std::memory_order_relaxed);
+  total_.get_bytes += shard.get_bytes;
+  total_.put_bytes += shard.put_bytes;
+  total_.requests += shard.requests;
+  total_.misaligned_requests += shard.misaligned_requests;
+  total_.cycles += shard.cycles;
 }
 
-void DmaEngine::reset() {
-  get_bytes_.store(0, std::memory_order_relaxed);
-  put_bytes_.store(0, std::memory_order_relaxed);
-  requests_.store(0, std::memory_order_relaxed);
-  misaligned_.store(0, std::memory_order_relaxed);
-  total_cycles_.store(0, std::memory_order_relaxed);
-}
+void DmaEngine::reset() { total_.reset(); }
 
 std::uint64_t DmaEngine::record(std::uint64_t bytes, std::int64_t block_bytes,
                                 perf::DmaDirection dir, bool aligned) {
   const std::uint64_t cycles = cost(bytes, block_bytes, dir, aligned);
-
-  if (dir == perf::DmaDirection::kGet) {
-    get_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  } else {
-    put_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (!aligned) misaligned_.fetch_add(1, std::memory_order_relaxed);
-  total_cycles_.fetch_add(cycles, std::memory_order_relaxed);
+  total_.add(bytes, dir, aligned, cycles);
   return cycles;
 }
 
 DmaTotals DmaEngine::totals() const {
   DmaTotals t;
-  t.get_bytes = get_bytes_.load();
-  t.put_bytes = put_bytes_.load();
-  t.requests = requests_.load();
-  t.misaligned_requests = misaligned_.load();
+  t.get_bytes = total_.get_bytes;
+  t.put_bytes = total_.put_bytes;
+  t.requests = total_.requests;
+  t.misaligned_requests = total_.misaligned_requests;
   return t;
 }
 
 double DmaEngine::modeled_seconds() const {
-  return static_cast<double>(total_cycles_.load()) /
-         (spec_.cpe_clock_ghz * 1e9);
+  return static_cast<double>(total_.cycles) / (spec_.cpe_clock_ghz * 1e9);
 }
 
 }  // namespace swdnn::sim

@@ -8,10 +8,8 @@
 // the quantity the paper's performance model calls MBW(MEM->LDM).
 //
 // The engine itself only accounts; the data movement is performed by the
-// caller (CpeContext) so the functional path stays a plain memcpy. All
-// counters are atomics: 64 CPE threads record concurrently.
+// caller (CpeContext) so the functional path stays a plain memcpy.
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/arch/spec.h"
@@ -26,10 +24,9 @@ struct DmaTotals {
   std::uint64_t misaligned_requests = 0;
 };
 
-/// Per-CPE accounting shard. Each CPE thread owns one exclusively
-/// during a launch (plain fields, no atomics); the executor folds the
-/// shards into the shared engine once per launch, so 64 threads never
-/// contend on the engine's counters per transfer.
+/// Per-CPE accounting shard. Each CPE charges its own shard during a
+/// launch; the executor folds the shards into the engine once per
+/// launch, in CPE-id order.
 struct DmaShard {
   std::uint64_t get_bytes = 0;
   std::uint64_t put_bytes = 0;
@@ -96,11 +93,7 @@ class DmaEngine {
 
  private:
   arch::Sw26010Spec spec_;  // by value: callers may pass temporaries
-  std::atomic<std::uint64_t> get_bytes_{0};
-  std::atomic<std::uint64_t> put_bytes_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> misaligned_{0};
-  std::atomic<std::uint64_t> total_cycles_{0};
+  DmaShard total_;          // the whole core group's traffic
 };
 
 }  // namespace swdnn::sim

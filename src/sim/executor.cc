@@ -2,10 +2,28 @@
 
 #include "src/arch/isa.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <new>
+#include <vector>
+
+// Fiber-switch annotations, so the sanitizers follow the CPE fibers'
+// stacks (g++ defines these macros under -fsanitize=address / thread).
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#define SWDNN_ASAN_FIBERS 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#define SWDNN_TSAN_FIBERS 1
+#endif
 
 namespace swdnn::sim {
 
@@ -27,19 +45,13 @@ void trace_event(MeshExecutor& exec, CpeCell& cell, int cpe,
 }  // namespace
 
 void CpeContext::fail_launch(const std::string& message, bool persistent) {
-  if (persistent) exec_.persistent_.store(true, std::memory_order_relaxed);
-  bool expected = false;
-  if (exec_.failed_.compare_exchange_strong(expected, true)) {
-    std::lock_guard<std::mutex> lock(exec_.failure_mutex_);
-    exec_.failure_ = message;
-  }
+  exec_.latch_failure(id(), message, persistent);
   trace_event(exec_, cell(), id(), "fault", message, 1);
 }
 
 // Computes the Table II cost of one request and accounts it into this
 // CPE's private shard; the executor folds the shards into the shared
-// engine once per launch (contention relief: no shared atomics on the
-// per-transfer path).
+// engine once per launch.
 std::uint64_t CpeContext::record_dma(std::uint64_t bytes,
                                      std::int64_t block_bytes,
                                      perf::DmaDirection dir, bool aligned) {
@@ -70,7 +82,7 @@ bool CpeContext::dma_attempt(std::uint64_t bytes, std::int64_t block_bytes,
     // repeated transfer.
     charge_cycles(retry_backoff_cycles(rp, attempt));
     record_dma(bytes, block_bytes, dir, aligned);
-    exec_.dma_retries_.fetch_add(1, std::memory_order_relaxed);
+    ++exec_.dma_retries_;
   }
   fail_launch("persistent DMA fault on CPE " + std::to_string(id()) +
                   " after " + std::to_string(max_attempts) + " attempts",
@@ -176,14 +188,22 @@ void CpeContext::maybe_stall_bus() {
 
 void CpeContext::put_row(int dst_col, const Vec4& value) {
   maybe_stall_bus();
-  mesh_.cell(row_, dst_col).row_buffer.put(value);
+  TransferBuffer& dst = mesh_.cell(row_, dst_col).row_buffer;
+  if (dst.full()) {
+    exec_.wait_writable(id(), row_ * mesh_.cols() + dst_col, dst, true);
+  }
+  dst.put(value);
   cell().regcomm_messages += 1;
   charge_cycles(1);  // a put issues in one cycle on P1
 }
 
 void CpeContext::put_col(int dst_row, const Vec4& value) {
   maybe_stall_bus();
-  mesh_.cell(dst_row, col_).col_buffer.put(value);
+  TransferBuffer& dst = mesh_.cell(dst_row, col_).col_buffer;
+  if (dst.full()) {
+    exec_.wait_writable(id(), dst_row * mesh_.cols() + col_, dst, false);
+  }
+  dst.put(value);
   cell().regcomm_messages += 1;
   charge_cycles(1);
 }
@@ -193,7 +213,11 @@ void CpeContext::bcast_row(const Vec4& value) {
   trace_event(exec_, cell(), id(), "bus", "bcast-row", 1);
   for (int c = 0; c < mesh_.cols(); ++c) {
     if (c == col_) continue;
-    mesh_.cell(row_, c).row_buffer.put(value);
+    TransferBuffer& dst = mesh_.cell(row_, c).row_buffer;
+    if (dst.full()) {
+      exec_.wait_writable(id(), row_ * mesh_.cols() + c, dst, true);
+    }
+    dst.put(value);
   }
   // Hardware multicast: one bus transaction regardless of fan-out.
   cell().regcomm_messages += static_cast<std::uint64_t>(mesh_.cols() - 1);
@@ -205,7 +229,11 @@ void CpeContext::bcast_col(const Vec4& value) {
   trace_event(exec_, cell(), id(), "bus", "bcast-col", 1);
   for (int r = 0; r < mesh_.rows(); ++r) {
     if (r == row_) continue;
-    mesh_.cell(r, col_).col_buffer.put(value);
+    TransferBuffer& dst = mesh_.cell(r, col_).col_buffer;
+    if (dst.full()) {
+      exec_.wait_writable(id(), r * mesh_.cols() + col_, dst, false);
+    }
+    dst.put(value);
   }
   cell().regcomm_messages += static_cast<std::uint64_t>(mesh_.rows() - 1);
   charge_cycles(1);
@@ -214,13 +242,17 @@ void CpeContext::bcast_col(const Vec4& value) {
 Vec4 CpeContext::get_row() {
   charge_cycles(static_cast<std::uint64_t>(
       arch::op_info(arch::Opcode::kGetr).latency_cycles));
-  return cell().row_buffer.get();
+  TransferBuffer& buf = cell().row_buffer;
+  if (buf.empty()) exec_.wait_readable(id(), buf, true);
+  return buf.get();
 }
 
 Vec4 CpeContext::get_col() {
   charge_cycles(static_cast<std::uint64_t>(
       arch::op_info(arch::Opcode::kGetc).latency_cycles));
-  return cell().col_buffer.get();
+  TransferBuffer& buf = cell().col_buffer;
+  if (buf.empty()) exec_.wait_readable(id(), buf, false);
+  return buf.get();
 }
 
 // The bulk primitives charge per-message accounting in exactly the
@@ -265,7 +297,11 @@ void CpeContext::recv_row_span(std::span<double> out) {
   charge_cycles(messages *
                 static_cast<std::uint64_t>(
                     arch::op_info(arch::Opcode::kGetr).latency_cycles));
-  cell().row_buffer.get_unpacked(out);
+  TransferBuffer& buf = cell().row_buffer;
+  for (std::size_t off = 0; off < out.size();) {
+    if (buf.empty()) exec_.wait_readable(id(), buf, true);
+    off += buf.get_unpacked(out.subspan(off));
+  }
 }
 
 void CpeContext::recv_col_span(std::span<double> out) {
@@ -274,12 +310,16 @@ void CpeContext::recv_col_span(std::span<double> out) {
   charge_cycles(messages *
                 static_cast<std::uint64_t>(
                     arch::op_info(arch::Opcode::kGetc).latency_cycles));
-  cell().col_buffer.get_unpacked(out);
+  TransferBuffer& buf = cell().col_buffer;
+  for (std::size_t off = 0; off < out.size();) {
+    if (buf.empty()) exec_.wait_readable(id(), buf, false);
+    off += buf.get_unpacked(out.subspan(off));
+  }
 }
 
 void CpeContext::sync() {
   trace_event(exec_, cell(), id(), "sync", "barrier", 1);
-  exec_.barrier_.arrive_and_wait();
+  exec_.arrive_and_wait(id());
 }
 
 void CpeContext::charge_flops(std::uint64_t flops) {
@@ -294,17 +334,207 @@ void CpeContext::charge_cycles(std::uint64_t cycles) {
   cc = cycles > UINT64_MAX - cc ? UINT64_MAX : cc + cycles;
 }
 
-MeshExecutor::MeshExecutor(const arch::Sw26010Spec& spec)
-    : spec_(spec), mesh_(spec_), dma_(spec_), barrier_(mesh_.num_cpes()) {}
 
-MeshExecutor::~MeshExecutor() { shutdown_pool(); }
+// --- Fiber scheduler ---------------------------------------------------------
+
+namespace {
+
+/// Usable stack per CPE fiber. The kernels keep their tiles in LDM
+/// (heap-backed), so frames stay shallow; the sanitizers' redzones are
+/// the largest consumer. Pages are committed only when a fiber touches
+/// them.
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
+/// Thrown inside a blocked fiber to unwind it after a deadlock. Not a
+/// std::exception, so execute_cell's abort-on-throw handler lets it
+/// pass to the fiber's entry function.
+struct FiberCancelled {};
+
+enum class Wait : std::uint8_t {
+  kNone,      ///< runnable (not started yet)
+  kRowData,   ///< Get on its own empty row buffer
+  kColData,   ///< Get on its own empty column buffer
+  kRowSpace,  ///< Vec4 Put into a full row buffer of `peer`
+  kColSpace,  ///< Vec4 Put into a full column buffer of `peer`
+  kBarrier,   ///< sync() until the barrier generation moves on
+  kDone,
+};
+
+}  // namespace
+
+struct MeshExecutor::Fibers {
+  struct Fiber {
+    ucontext_t context{};
+    char* stack = nullptr;  ///< lowest usable byte (a guard page below)
+    Wait wait = Wait::kNone;
+    const TransferBuffer* buffer = nullptr;  ///< for data/space waits
+    int peer = -1;                           ///< destination of a Put
+    std::uint64_t generation = 0;            ///< barrier phase waited on
+#ifdef SWDNN_ASAN_FIBERS
+    void* fake_stack = nullptr;
+#endif
+#ifdef SWDNN_TSAN_FIBERS
+    void* tsan = nullptr;
+#endif
+  };
+
+  /// Maps every fiber stack once, each above a PROT_NONE guard page so
+  /// an overflow faults instead of running into the neighbour's stack.
+  Fibers(MeshExecutor* owner, int n)
+      : exec(owner), fibers(static_cast<std::size_t>(n)) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t slot_bytes = page + kFiberStackBytes;
+    region_bytes_ = slot_bytes * static_cast<std::size_t>(n);
+    void* region = mmap(nullptr, region_bytes_, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (region == MAP_FAILED) throw std::bad_alloc();
+    region_ = static_cast<char*>(region);
+    for (int i = 0; i < n; ++i) {
+      char* slot = region_ + slot_bytes * static_cast<std::size_t>(i);
+      if (mprotect(slot, page, PROT_NONE) != 0) {
+        munmap(region_, region_bytes_);
+        throw std::bad_alloc();
+      }
+      fibers[static_cast<std::size_t>(i)].stack = slot + page;
+#ifdef SWDNN_TSAN_FIBERS
+      fibers[static_cast<std::size_t>(i)].tsan = __tsan_create_fiber(0);
+#endif
+    }
+  }
+
+  ~Fibers() {
+#ifdef SWDNN_TSAN_FIBERS
+    for (Fiber& f : fibers) __tsan_destroy_fiber(f.tsan);
+#endif
+    munmap(region_, region_bytes_);
+  }
+
+  Fibers(const Fibers&) = delete;
+  Fibers& operator=(const Fibers&) = delete;
+
+  /// Host -> fiber `id`; returns when the fiber yields or finishes.
+  void resume(int id) {
+    Fiber& f = fibers[static_cast<std::size_t>(id)];
+    current = id;
+#ifdef SWDNN_ASAN_FIBERS
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, f.stack, kFiberStackBytes);
+#endif
+#ifdef SWDNN_TSAN_FIBERS
+    __tsan_switch_to_fiber(f.tsan, 0);
+#endif
+    swapcontext(&host, &f.context);
+#ifdef SWDNN_ASAN_FIBERS
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+    current = -1;
+  }
+
+  /// Running fiber -> host. Returns when the scheduler resumes it.
+  void yield() {
+    Fiber& f = fibers[static_cast<std::size_t>(current)];
+    before_host_switch(&f);
+    swapcontext(&f.context, &host);
+    after_switch_in(&f);
+  }
+
+  /// Sanitizer bookkeeping around a switch to the host context; a null
+  /// `f` means the fiber is finishing and its fake stack can go.
+  void before_host_switch(Fiber* f) {
+#ifdef SWDNN_ASAN_FIBERS
+    __sanitizer_start_switch_fiber(f != nullptr ? &f->fake_stack : nullptr,
+                                   host_stack_bottom, host_stack_size);
+#endif
+#ifdef SWDNN_TSAN_FIBERS
+    __tsan_switch_to_fiber(host_tsan, 0);
+#endif
+    (void)f;
+  }
+
+  void after_switch_in(Fiber* f) {
+#ifdef SWDNN_ASAN_FIBERS
+    __sanitizer_finish_switch_fiber(f != nullptr ? f->fake_stack : nullptr,
+                                    &host_stack_bottom, &host_stack_size);
+#endif
+    (void)f;
+  }
+
+  /// Entry point of every CPE fiber. makecontext passes int arguments
+  /// only, so the Fibers pointer travels in two halves.
+  static void entry(unsigned hi, unsigned lo, int id) {
+    auto* set = reinterpret_cast<Fibers*>(
+        (static_cast<std::uintptr_t>(hi) << 32) | lo);
+    set->after_switch_in(nullptr);
+    const int cols = set->exec->mesh_.cols();
+    try {
+      if (!set->cancel) {
+        set->exec->execute_cell(*set->kernel, id / cols, id % cols);
+      }
+    } catch (const FiberCancelled&) {
+      // Unwound after a deadlock; the scheduler throws MeshDeadlock.
+    }
+    set->fibers[static_cast<std::size_t>(id)].wait = Wait::kDone;
+    set->before_host_switch(nullptr);
+    setcontext(&set->host);
+  }
+
+  /// Points every fiber at the start of `entry` for a new launch.
+  void arm(const Kernel& k) {
+    kernel = &k;
+    cancel = false;
+    const auto self = reinterpret_cast<std::uintptr_t>(this);
+    for (std::size_t i = 0; i < fibers.size(); ++i) {
+      Fiber& f = fibers[i];
+      f.wait = Wait::kNone;
+      getcontext(&f.context);
+      f.context.uc_stack.ss_sp = f.stack;
+      f.context.uc_stack.ss_size = kFiberStackBytes;
+      f.context.uc_link = nullptr;
+      makecontext(&f.context, reinterpret_cast<void (*)()>(&Fibers::entry), 3,
+                  static_cast<unsigned>(self >> 32),
+                  static_cast<unsigned>(self & 0xffffffffu),
+                  static_cast<int>(i));
+    }
+#ifdef SWDNN_TSAN_FIBERS
+    host_tsan = __tsan_get_current_fiber();
+#endif
+  }
+
+  /// Whether the scheduler may resume `f` now (its wait is satisfied).
+  bool ready(const Fiber& f) const;
+
+  MeshExecutor* const exec;
+  std::vector<Fiber> fibers;
+  ucontext_t host{};
+  int current = -1;      ///< fiber running now, -1 on the host
+  bool cancel = false;   ///< unwinding after a deadlock
+  const Kernel* kernel = nullptr;
+#ifdef SWDNN_ASAN_FIBERS
+  const void* host_stack_bottom = nullptr;
+  std::size_t host_stack_size = 0;
+#endif
+#ifdef SWDNN_TSAN_FIBERS
+  void* host_tsan = nullptr;
+#endif
+
+ private:
+  char* region_ = nullptr;
+  std::size_t region_bytes_ = 0;
+};
+
+MeshExecutor::MeshExecutor(const arch::Sw26010Spec& spec)
+    : spec_(spec), mesh_(spec_), dma_(spec_) {}
+
+MeshExecutor::~MeshExecutor() = default;
 
 void MeshExecutor::prepare_launch() {
   mesh_.reset_for_launch();
   dma_.reset();
-  failed_.store(false);
-  persistent_.store(false);
-  dma_retries_.store(0);
+  barrier_arrived_ = 0;
+  failed_ = false;
+  persistent_ = false;
+  failure_cpe_ = -1;
+  dma_retries_ = 0;
   failure_.clear();
   // (Re-)attach or detach the fault campaign on every launch: the mesh
   // persists across launches and across injector changes.
@@ -315,18 +545,23 @@ void MeshExecutor::prepare_launch() {
         mesh_.cell(r, c).ldm.attach_faults(nullptr, cpe, nullptr);
         continue;
       }
+      // LDM faults are always persistent for the launch: the arena
+      // stays degraded for its whole lifetime.
       mesh_.cell(r, c).ldm.attach_faults(
-          injector_, cpe, [this](const std::string& msg) {
-            // LDM faults are always persistent for the launch: the
-            // arena stays degraded for its whole lifetime.
-            persistent_.store(true, std::memory_order_relaxed);
-            bool expected = false;
-            if (failed_.compare_exchange_strong(expected, true)) {
-              std::lock_guard<std::mutex> lock(failure_mutex_);
-              failure_ = msg;
-            }
+          injector_, cpe, [this, cpe](const std::string& msg) {
+            latch_failure(cpe, msg, /*persistent=*/true);
           });
     }
+  }
+}
+
+void MeshExecutor::latch_failure(int cpe, const std::string& message,
+                                 bool persistent) {
+  if (persistent) persistent_ = true;
+  if (!failed_ || cpe < failure_cpe_) {
+    failed_ = true;
+    failure_cpe_ = cpe;
+    failure_ = message;
   }
 }
 
@@ -335,7 +570,7 @@ void MeshExecutor::execute_cell(const Kernel& kernel, int row, int col) {
   try {
     kernel(ctx);
   } catch (const std::exception& e) {
-    // A throwing CPE kernel cannot be unwound safely: peers may be
+    // A throwing CPE kernel is a programming error; its peers may be
     // blocked on the barrier or on transfer buffers this CPE feeds.
     std::fprintf(stderr, "fatal: CPE(%d,%d) kernel threw: %s\n", row, col,
                  e.what());
@@ -343,71 +578,125 @@ void MeshExecutor::execute_cell(const Kernel& kernel, int row, int col) {
   }
 }
 
-void MeshExecutor::worker_loop(int row, int col) {
-  std::uint64_t seen_generation = 0;
-  for (;;) {
-    const Kernel* kernel = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(pool_mutex_);
-      start_cv_.wait(lock, [&] {
-        return shutdown_ || generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      kernel = pending_;
-    }
-    execute_cell(*kernel, row, col);
-    {
-      std::lock_guard<std::mutex> lock(pool_mutex_);
-      if (++done_count_ == mesh_.num_cpes()) done_cv_.notify_all();
-    }
+bool MeshExecutor::Fibers::ready(const Fiber& f) const {
+  switch (f.wait) {
+    case Wait::kNone:
+      return true;
+    case Wait::kRowData:
+    case Wait::kColData:
+      return !f.buffer->empty();
+    case Wait::kRowSpace:
+    case Wait::kColSpace:
+      return !f.buffer->full();
+    case Wait::kBarrier:
+      return exec->barrier_generation_ != f.generation;
+    case Wait::kDone:
+      return false;
+  }
+  return false;
+}
+
+void MeshExecutor::wait_readable(int cpe, const TransferBuffer& buffer,
+                                 bool row_bus) {
+  Fibers::Fiber& f = fibers_->fibers[static_cast<std::size_t>(cpe)];
+  while (buffer.empty()) {
+    f.wait = row_bus ? Wait::kRowData : Wait::kColData;
+    f.buffer = &buffer;
+    fibers_->yield();
+    if (fibers_->cancel) throw FiberCancelled{};
   }
 }
 
-void MeshExecutor::run_on_pool(const Kernel& kernel) {
-  if (workers_.empty()) {
-    workers_.reserve(static_cast<std::size_t>(mesh_.num_cpes()));
-    for (int r = 0; r < mesh_.rows(); ++r) {
-      for (int c = 0; c < mesh_.cols(); ++c) {
-        workers_.emplace_back([this, r, c] { worker_loop(r, c); });
+void MeshExecutor::wait_writable(int cpe, int dst_cpe,
+                                 const TransferBuffer& buffer, bool row_bus) {
+  Fibers::Fiber& f = fibers_->fibers[static_cast<std::size_t>(cpe)];
+  while (buffer.full()) {
+    f.wait = row_bus ? Wait::kRowSpace : Wait::kColSpace;
+    f.buffer = &buffer;
+    f.peer = dst_cpe;
+    fibers_->yield();
+    if (fibers_->cancel) throw FiberCancelled{};
+  }
+}
+
+void MeshExecutor::arrive_and_wait(int cpe) {
+  if (++barrier_arrived_ == mesh_.num_cpes()) {
+    // Last arrival opens the next phase and keeps running.
+    barrier_arrived_ = 0;
+    ++barrier_generation_;
+    return;
+  }
+  Fibers::Fiber& f = fibers_->fibers[static_cast<std::size_t>(cpe)];
+  f.generation = barrier_generation_;
+  while (barrier_generation_ == f.generation) {
+    f.wait = Wait::kBarrier;
+    fibers_->yield();
+    if (fibers_->cancel) throw FiberCancelled{};
+  }
+}
+
+namespace {
+
+std::string describe_wait(Wait wait, int peer) {
+  switch (wait) {
+    case Wait::kRowData:
+      return "a message on its row buffer";
+    case Wait::kColData:
+      return "a message on its column buffer";
+    case Wait::kRowSpace:
+      return "a free slot in the row buffer of CPE " + std::to_string(peer);
+    case Wait::kColSpace:
+      return "a free slot in the column buffer of CPE " +
+             std::to_string(peer);
+    case Wait::kBarrier:
+      return "the barrier";
+    case Wait::kNone:
+    case Wait::kDone:
+      break;
+  }
+  return "nothing";
+}
+
+}  // namespace
+
+void MeshExecutor::schedule(const Kernel& kernel) {
+  if (!fibers_) fibers_ = std::make_unique<Fibers>(this, mesh_.num_cpes());
+  Fibers& set = *fibers_;
+  set.arm(kernel);
+  const int n = mesh_.num_cpes();
+  int live = n;
+  while (live > 0) {
+    bool progressed = false;
+    for (int id = 0; id < n; ++id) {
+      const Fibers::Fiber& f = set.fibers[static_cast<std::size_t>(id)];
+      if (!set.ready(f)) continue;
+      set.resume(id);
+      progressed = true;
+      if (f.wait == Wait::kDone) --live;
+    }
+    if (progressed) continue;
+
+    // Every unfinished CPE waits on a condition no runnable CPE can
+    // satisfy. Name them, unwind their stacks, and report.
+    std::string message = "mesh deadlock: no CPE can make progress;";
+    for (int id = 0; id < n; ++id) {
+      const Fibers::Fiber& f = set.fibers[static_cast<std::size_t>(id)];
+      if (f.wait == Wait::kDone) continue;
+      message += " CPE " + std::to_string(id) + " (" +
+                 std::to_string(id / mesh_.cols()) + "," +
+                 std::to_string(id % mesh_.cols()) + ") waits on " +
+                 describe_wait(f.wait, f.peer) + ";";
+    }
+    message += " " + std::to_string(barrier_arrived_) + " of " +
+               std::to_string(n) + " CPEs at the barrier";
+    set.cancel = true;
+    for (int id = 0; id < n; ++id) {
+      if (set.fibers[static_cast<std::size_t>(id)].wait != Wait::kDone) {
+        set.resume(id);
       }
     }
+    throw MeshDeadlock(message);
   }
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    pending_ = &kernel;
-    done_count_ = 0;
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(pool_mutex_);
-    done_cv_.wait(lock, [&] { return done_count_ == mesh_.num_cpes(); });
-    pending_ = nullptr;
-  }
-}
-
-void MeshExecutor::run_spawned(const Kernel& kernel) {
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(mesh_.num_cpes()));
-  for (int r = 0; r < mesh_.rows(); ++r) {
-    for (int c = 0; c < mesh_.cols(); ++c) {
-      threads.emplace_back(
-          [this, &kernel, r, c] { execute_cell(kernel, r, c); });
-    }
-  }
-  for (auto& t : threads) t.join();
-}
-
-void MeshExecutor::shutdown_pool() {
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& t : workers_) t.join();
-  workers_.clear();
-  shutdown_ = false;
 }
 
 LaunchStats MeshExecutor::run(const Kernel& kernel) {
@@ -415,14 +704,9 @@ LaunchStats MeshExecutor::run(const Kernel& kernel) {
   const std::uint64_t faults_before =
       injector_ != nullptr ? injector_->total_events() : 0;
 
-  if (use_pool_) {
-    run_on_pool(kernel);
-  } else {
-    run_spawned(kernel);
-  }
+  schedule(kernel);
 
-  // Fold the per-CPE DMA shards into the shared engine: one pass per
-  // launch instead of one atomic round-trip per transfer.
+  // Fold the per-CPE DMA shards into the shared engine.
   for (int id = 0; id < mesh_.num_cpes(); ++id) {
     dma_.add_shard(mesh_.cell_by_id(id).dma);
   }
@@ -435,13 +719,10 @@ LaunchStats MeshExecutor::run(const Kernel& kernel) {
   stats.dma_seconds = dma_.modeled_seconds();
   stats.compute_seconds = static_cast<double>(stats.max_compute_cycles) /
                           (spec_.cpe_clock_ghz * 1e9);
-  stats.failed = failed_.load();
-  stats.persistent_fault = persistent_.load();
-  stats.dma_retries = dma_retries_.load();
-  if (stats.failed) {
-    std::lock_guard<std::mutex> lock(failure_mutex_);
-    stats.failure = failure_;
-  }
+  stats.failed = failed_;
+  stats.persistent_fault = persistent_;
+  stats.dma_retries = dma_retries_;
+  stats.failure = failure_;
   if (injector_ != nullptr) {
     stats.fault_events = injector_->total_events() - faults_before;
   }

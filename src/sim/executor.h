@@ -1,10 +1,10 @@
 #pragma once
 // SPMD kernel launcher for the simulated CPE mesh.
 //
-// A "kernel" is a callable executed once per CPE, each on its own host
-// thread — the same single-program-multiple-data shape as real athread
-// kernels on SW26010. The CpeContext a kernel receives exposes exactly
-// the machine resources the paper's kernels use:
+// A "kernel" is a callable executed once per CPE — the same
+// single-program-multiple-data shape as real athread kernels on
+// SW26010. The CpeContext a kernel receives exposes exactly the machine
+// resources the paper's kernels use:
 //
 //   * its mesh coordinates,
 //   * its private LDM (capacity-enforced),
@@ -16,28 +16,29 @@
 // Functional correctness never depends on the accounting; timing
 // counters only feed the statistics block returned by run().
 //
-// Host execution strategy: the executor owns a persistent CpeWorkerPool
-// — one host thread per CPE, created on the first launch and kept for
-// the executor's lifetime. Launches are dispatched to the pool through
-// a generation-counted start/finish protocol, and the mesh, DMA engine,
-// and LDM arenas are reset in place between launches instead of being
-// reconstructed. Modeled observables (cycles, flops, message counts,
-// DMA totals, traces, fault decisions) are charged exactly as before:
-// cycle accounting is decoupled from how the host happens to schedule
-// the simulation. set_use_worker_pool(false) selects the legacy
-// spawn-64-threads-per-launch strategy, kept as the reference the
-// equivalence tests and the throughput bench compare against.
+// Host execution strategy: a fiber scheduler. run() executes the
+// launch's CPE kernels as stackful fibers on the calling thread, in a
+// fixed round-robin over CPE ids. The athread model's only blocking
+// points are the bus Get/Put and the sync, so a fiber runs until it
+// reaches one that cannot proceed — a Get on an empty transfer buffer,
+// a Vec4 Put into a buffer at its slot capacity, or a sync() its peers
+// have not reached — and then yields to the scheduler, which resumes
+// the next CPE whose wait is satisfied. There are no host threads, locks
+// or condition variables per launch. Modeled observables (cycles,
+// flops, message counts, DMA totals, traces, fault decisions) are
+// charged per CPE exactly as before: cycle accounting is decoupled from
+// how the host schedules the simulation. When no unfinished CPE can
+// proceed, run() unwinds every fiber and throws MeshDeadlock, naming
+// each blocked CPE and what it waits on. Host parallelism lives one
+// level up: concurrent launches run on separate executors.
 
-#include <atomic>
-#include <barrier>
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/arch/spec.h"
 #include "src/sim/dma.h"
@@ -48,6 +49,16 @@
 namespace swdnn::sim {
 
 class MeshExecutor;
+
+/// A mesh-protocol bug caught by the fiber scheduler: every CPE that has
+/// not finished is blocked on a bus buffer or the barrier, so the launch
+/// can never complete (a Get with no sender, a CPE that skipped a
+/// sync()). what() names each blocked CPE and what it waits on. The
+/// executor stays usable: the next launch starts from a clean mesh.
+class MeshDeadlock : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class CpeContext {
  public:
@@ -99,7 +110,8 @@ class CpeContext {
   void bcast_col(const Vec4& value);
 
   /// Receives the next message from this CPE's row/column transfer
-  /// buffer (blocking).
+  /// buffer (yields to the scheduler while it is empty). A Put yields
+  /// while the destination buffer is at its slot capacity.
   Vec4 get_row();
   Vec4 get_col();
 
@@ -109,14 +121,15 @@ class CpeContext {
   /// (stall-fault polls, trace events, one issue cycle per broadcast,
   /// get latency per receive, regcomm message counts) is charged
   /// identically to a loop over the Vec4 primitives; only the host-side
-  /// transfer-buffer traffic is batched under one lock acquisition.
+  /// transfer-buffer traffic is batched (a bulk broadcast never waits on
+  /// the slot capacity).
   void bcast_row_span(std::span<const double> data);
   void bcast_col_span(std::span<const double> data);
   void recv_row_span(std::span<double> out);
   void recv_col_span(std::span<double> out);
 
   // --- Synchronization ---------------------------------------------------
-  /// Mesh-wide barrier.
+  /// Mesh-wide barrier: yields until every CPE of the mesh arrived.
   void sync();
 
   // --- Timing hooks -------------------------------------------------------
@@ -131,8 +144,9 @@ class CpeContext {
 
   // --- Fault handling -----------------------------------------------------
   /// Marks the whole launch failed (kernels keep running to drain
-  /// barriers; the driver inspects LaunchStats afterwards). The first
-  /// caller's message wins.
+  /// barriers; the driver inspects LaunchStats afterwards). The reported
+  /// message is the first failure of the lowest-numbered failing CPE,
+  /// independent of the order the host ran the CPEs in.
   void fail_launch(const std::string& message, bool persistent);
 
  private:
@@ -167,7 +181,7 @@ struct LaunchStats {
   // Fault outcome of the launch (only set when an injector is attached).
   bool failed = false;           ///< a fault site exhausted its recovery
   bool persistent_fault = false; ///< retries exhausted / dead resource
-  std::string failure;           ///< first failure's diagnostic
+  std::string failure;           ///< lowest failing CPE's first failure
   std::uint64_t fault_events = 0;  ///< injector events during this launch
   std::uint64_t dma_retries = 0;   ///< tile transfers re-issued after faults
 
@@ -199,23 +213,16 @@ class MeshExecutor {
   MeshExecutor(const MeshExecutor&) = delete;
   MeshExecutor& operator=(const MeshExecutor&) = delete;
 
-  /// Launches `kernel` once per CPE, waits for all to finish, and
-  /// returns the aggregated statistics. Any exception escaping a kernel
-  /// aborts the process with a diagnostic: a throwing kernel is a
-  /// programming error, and unwinding one thread of a mesh that others
-  /// are blocked on cannot be done safely. Not reentrant: one launch at
-  /// a time per executor (callers that share an executor across threads
-  /// serialize externally).
+  /// Runs `kernel` once per CPE as fibers on the calling thread and
+  /// returns the aggregated statistics. Throws MeshDeadlock when the
+  /// CPEs block each other for good. Any other exception escaping a
+  /// kernel aborts the process with a diagnostic: a throwing kernel is a
+  /// programming error. Not reentrant: one launch at a time per executor
+  /// (callers that share an executor across threads serialize
+  /// externally).
   LaunchStats run(const Kernel& kernel);
 
   const arch::Sw26010Spec& spec() const { return spec_; }
-
-  /// Selects the host execution strategy: the persistent worker pool
-  /// (default) or the legacy spawn-threads-per-launch path kept as the
-  /// reference. Both produce identical LaunchStats, outputs, traces,
-  /// and fault behavior.
-  void set_use_worker_pool(bool on) { use_pool_ = on; }
-  bool use_worker_pool() const { return use_pool_; }
 
   /// Attaches an event tracer; every subsequent launch records its DMA,
   /// bus, and barrier events into it. Pass nullptr to detach. The
@@ -236,48 +243,46 @@ class MeshExecutor {
 
  private:
   friend class CpeContext;
+  struct Fibers;  // fiber stacks, contexts and wait states (executor.cc)
 
-  /// Resets mesh/DMA/failure state in place and re-attaches the fault
-  /// campaign for the next launch.
+  /// Resets mesh/DMA/barrier/failure state in place and re-attaches the
+  /// fault campaign for the next launch.
   void prepare_launch();
 
   /// Runs one CPE's kernel with the abort-on-throw contract.
   void execute_cell(const Kernel& kernel, int row, int col);
 
-  /// Dispatches the launch to the persistent pool (creating the workers
-  /// on first use) and blocks until every CPE finished.
-  void run_on_pool(const Kernel& kernel);
+  /// Round-robin scheduler: resumes every CPE fiber whose wait is
+  /// satisfied until all finished; throws MeshDeadlock otherwise.
+  void schedule(const Kernel& kernel);
 
-  /// Legacy reference strategy: spawn + join one thread per CPE.
-  void run_spawned(const Kernel& kernel);
+  // Blocking points, called from CPE fibers: each yields to the
+  // scheduler until its condition holds.
+  void wait_readable(int cpe, const TransferBuffer& buffer, bool row_bus);
+  void wait_writable(int cpe, int dst_cpe, const TransferBuffer& buffer,
+                     bool row_bus);
+  void arrive_and_wait(int cpe);
 
-  void worker_loop(int row, int col);
-  void shutdown_pool();
+  /// Records a launch failure (LDM fault callback, fail_launch).
+  void latch_failure(int cpe, const std::string& message, bool persistent);
 
   arch::Sw26010Spec spec_;  // by value: callers may pass temporaries
   CpeMesh mesh_;            // persistent, reset in place per launch
   DmaEngine dma_;           // persistent, reset per launch
-  std::barrier<> barrier_;  // reusable across launches
   EventTracer* tracer_ = nullptr;
   FaultInjector* injector_ = nullptr;
   RetryPolicy retry_;
-  bool use_pool_ = true;
+  std::unique_ptr<Fibers> fibers_;  // created on the first launch
 
-  // Persistent worker pool (generation-counted start/finish protocol).
-  std::vector<std::thread> workers_;
-  std::mutex pool_mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const Kernel* pending_ = nullptr;  // valid while a launch is in flight
-  std::uint64_t generation_ = 0;     // bumped once per pool launch
-  int done_count_ = 0;
-  bool shutdown_ = false;
+  // Mesh barrier: arrivals in the current phase, phases completed.
+  int barrier_arrived_ = 0;
+  std::uint64_t barrier_generation_ = 0;
 
-  // Per-launch failure latch (reset by run()).
-  std::atomic<bool> failed_{false};
-  std::atomic<bool> persistent_{false};
-  std::atomic<std::uint64_t> dma_retries_{0};
-  std::mutex failure_mutex_;
+  // Per-launch failure latch (reset by prepare_launch()).
+  bool failed_ = false;
+  bool persistent_ = false;
+  int failure_cpe_ = -1;
+  std::uint64_t dma_retries_ = 0;
   std::string failure_;
 };
 

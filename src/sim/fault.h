@@ -8,14 +8,15 @@
 // reproducible way, so the retry/fallback machinery above the simulator
 // can be exercised and verified.
 //
-// Determinism is the load-bearing property. The mesh runs 64 CPE
-// threads concurrently, so a shared RNG stream would make fault
-// placement depend on thread interleaving. Instead, every decision is a
-// pure function of (plan seed, fault site, unit id, per-unit sequence
-// number): each site keeps an atomic per-unit counter, and the decision
-// draws from a util::Rng seeded by a hash of those four values. The
-// same plan over the same workload therefore yields the same FaultEvent
-// trace on every run, regardless of scheduling.
+// Determinism is the load-bearing property. A shared RNG stream would
+// make fault placement depend on the order the executor runs its CPEs
+// in, and on other executors polling the same campaign from other host
+// threads. Instead, every decision is a pure function of (plan seed,
+// fault site, unit id, per-unit sequence number): each site keeps an
+// atomic per-unit counter, and the decision draws from a util::Rng
+// seeded by a hash of those four values. The same plan over the same
+// workload therefore yields the same FaultEvent trace on every run,
+// regardless of scheduling.
 //
 // Fault sites never throw inside CPE kernels (MeshExecutor aborts on a
 // throwing kernel, by design): a fault either degrades timing, retries
@@ -107,8 +108,8 @@ class LaunchFault : public std::runtime_error {
 /// The stateful injection engine for one campaign. Attach to a
 /// MeshExecutor (and/or NocSystem); poll_* methods advance the per-unit
 /// sequence counter for their site, decide deterministically, and log a
-/// FaultEvent when they fire. Thread-safe: CPE threads poll
-/// concurrently.
+/// FaultEvent when they fire. Thread-safe: executors launching on
+/// different host threads may share one campaign.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);

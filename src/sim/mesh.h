@@ -10,11 +10,10 @@
 // meshes (e.g. 2x2 or 4x4, as the paper itself does when illustrating
 // Fig. 3).
 //
-// The timing counters are plain integers, not atomics: each cell is
-// written only by the CPE thread that owns it during a launch, and the
-// executor reads them only after the launch's completion handshake
-// (which synchronizes). This removes 64 threads' worth of contended
-// fetch_adds from the per-FMA-charge hot path.
+// The timing counters are plain integers: each cell is written only by
+// its own CPE's fiber during a launch, and every fiber of a launch runs
+// on the launching thread, so the executor reads them after the launch
+// without any synchronization.
 
 #include <cstdint>
 #include <memory>

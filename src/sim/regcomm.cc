@@ -1,70 +1,41 @@
 #include "src/sim/regcomm.h"
 
+#include <stdexcept>
+
 namespace swdnn::sim {
 
-void TransferBuffer::put(const Vec4& value) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_full_.wait(lock, [this] { return queue_.size() < capacity_; });
-  queue_.push_back(value);
-  lock.unlock();
-  not_empty_.notify_one();
-}
-
 Vec4 TransferBuffer::get() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait(lock, [this] { return !queue_.empty(); });
-  Vec4 value = queue_.front();
+  if (queue_.empty()) {
+    throw std::logic_error("TransferBuffer::get on an empty buffer");
+  }
+  const Vec4 value = queue_.front();
   queue_.pop_front();
-  lock.unlock();
-  not_full_.notify_one();
   return value;
 }
 
 void TransferBuffer::put_packed(std::span<const double> data) {
-  if (data.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t off = 0; off < data.size(); off += 4) {
-      Vec4 v;
-      for (int l = 0; l < 4; ++l) {
-        const std::size_t idx = off + static_cast<std::size_t>(l);
-        v.lane[l] = idx < data.size() ? data[idx] : 0.0;
-      }
-      queue_.push_back(v);
+  for (std::size_t off = 0; off < data.size(); off += 4) {
+    Vec4 v;
+    for (int l = 0; l < 4; ++l) {
+      const std::size_t idx = off + static_cast<std::size_t>(l);
+      v.lane[l] = idx < data.size() ? data[idx] : 0.0;
     }
+    queue_.push_back(v);
   }
-  not_empty_.notify_one();
 }
 
-void TransferBuffer::get_unpacked(std::span<double> out) {
+std::size_t TransferBuffer::get_unpacked(std::span<double> out) {
   std::size_t off = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (off < out.size()) {
-    not_empty_.wait(lock, [this] { return !queue_.empty(); });
-    while (!queue_.empty() && off < out.size()) {
-      const Vec4 v = queue_.front();
-      queue_.pop_front();
-      for (int l = 0; l < 4; ++l) {
-        const std::size_t idx = off + static_cast<std::size_t>(l);
-        if (idx < out.size()) out[idx] = v.lane[l];
-      }
-      off += 4;
+  while (off < out.size() && !queue_.empty()) {
+    const Vec4& v = queue_.front();
+    for (int l = 0; l < 4; ++l) {
+      const std::size_t idx = off + static_cast<std::size_t>(l);
+      if (idx < out.size()) out[idx] = v.lane[l];
     }
-    // Wake reference-path senders parked on the slot capacity before we
-    // wait for the rest of the span, or a mixed put/get_unpacked pair
-    // would deadlock at the buffer depth.
-    not_full_.notify_all();
+    queue_.pop_front();
+    off += 4;
   }
-}
-
-void TransferBuffer::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  queue_.clear();
-}
-
-std::size_t TransferBuffer::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
+  return off < out.size() ? off : out.size();
 }
 
 }  // namespace swdnn::sim

@@ -9,27 +9,28 @@
 // hardware also offers row/column broadcast, which the vldr/vldc-based
 // kernels use (Section V-C).
 //
-// The simulator implements a TransferBuffer as a bounded MPSC queue. A
-// CPE owns two receive buffers: one fed by its row bus, one by its
-// column bus. Message order on one bus is FIFO per sender and, because a
-// bus serializes, FIFO globally per buffer.
+// The simulator implements a TransferBuffer as a plain FIFO. A CPE owns
+// two receive buffers: one fed by its row bus, one by its column bus.
+// Message order on one bus is FIFO per sender and, because a bus
+// serializes, FIFO globally per buffer.
 //
-// Two access disciplines share the queue:
-//   * the Vec4 reference path (put/get) — one lock acquisition and one
-//     condition-variable round-trip per 256-bit message, back-pressured
-//     at the hardware buffer depth; and
+// The buffer itself never blocks: all CPEs of a launch run as fibers on
+// one host thread (executor.h), and the blocking discipline lives in
+// CpeContext, which yields to the scheduler before a Get on an empty
+// buffer and before a Vec4 Put into a buffer at its slot capacity. Two
+// access disciplines share the queue:
+//   * the Vec4 reference path (put/get) — one message at a time,
+//     back-pressured at the hardware buffer depth; and
 //   * the bulk span path (put_packed/get_unpacked) — a whole tile's
-//     worth of messages moves under a single lock acquisition. Bulk
-//     puts deliberately ignore the slot capacity: blocking on a full
-//     buffer is host-scheduling behaviour only (no cycles are ever
-//     charged for it), so batching past the depth changes no modeled
-//     observable while eliminating the dominant host cost of the bus.
-//     Cycle and message accounting stay per-Vec4 in the caller.
+//     worth of messages at once. Bulk puts deliberately ignore the slot
+//     capacity: waiting on a full buffer is host-scheduling behaviour
+//     only (no cycles are ever charged for it), so batching past the
+//     depth changes no modeled observable while eliminating most
+//     scheduler switches. Cycle and message accounting stay per-Vec4
+//     in the caller.
 
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <mutex>
 #include <span>
 
 namespace swdnn::sim {
@@ -60,36 +61,37 @@ class TransferBuffer {
  public:
   explicit TransferBuffer(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Blocking bounded push (sender side of a bus Put).
-  void put(const Vec4& value);
+  /// Enqueues one message (sender side of a bus Put). Does not check
+  /// the capacity: the sender waits for a free slot before calling.
+  void put(const Vec4& value) { queue_.push_back(value); }
 
-  /// Blocking pop (receiver's Get into its register file).
+  /// Dequeues the oldest message (receiver's Get into its register
+  /// file). Requires !empty().
   Vec4 get();
 
   /// Bulk sender: packs `data` into ceil(n/4) Vec4 messages (trailing
   /// lanes zero, matching the reference path's packing) and enqueues
-  /// them all under one lock acquisition. Never blocks on capacity —
-  /// see the header comment for why that is observationally safe.
+  /// them all, regardless of capacity — see the header comment for why
+  /// that is observationally safe.
   void put_packed(std::span<const double> data);
 
-  /// Bulk receiver: pops ceil(n/4) messages under one lock acquisition
-  /// (waiting while the queue is empty) and unpacks them into `out`,
-  /// discarding the zero-padding lanes of the final message.
-  void get_unpacked(std::span<double> out);
+  /// Bulk receiver: dequeues up to ceil(n/4) of the buffered messages
+  /// and unpacks them into the front of `out`, discarding the zero
+  /// padding of a final partial message. Returns the number of doubles
+  /// written (out.size() once enough messages were buffered).
+  std::size_t get_unpacked(std::span<double> out);
 
   /// Drops any buffered messages (launch-boundary reset).
-  void clear();
+  void clear() { queue_.clear(); }
 
-  /// Number of messages currently buffered (for tests).
-  std::size_t size() const;
-
+  std::size_t size() const { return queue_.size(); }
+  bool empty() const { return queue_.empty(); }
+  /// At or past the slot capacity (bulk puts may overfill).
+  bool full() const { return queue_.size() >= capacity_; }
   std::size_t capacity() const { return capacity_; }
 
  private:
   const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
   std::deque<Vec4> queue_;
 };
 

@@ -27,7 +27,8 @@ struct TraceEvent {
 
 class EventTracer {
  public:
-  /// Thread-safe append (CPE threads record concurrently).
+  /// Thread-safe append (executors launching on different host threads
+  /// may share one tracer).
   void record(int cpe, std::string category, std::string name,
               std::uint64_t begin_cycle, std::uint64_t end_cycle);
 

@@ -1,15 +1,15 @@
 // Observable-equivalence regression tests for the simulator fast paths.
 //
-// The PR that introduced the persistent worker pool, the bulk span-level
-// bus primitives, and the register-blocked local GEMM promised one
-// invariant: *no modeled observable changes*. These tests hold it to
-// that — the same mesh GEMM is run through (worker pool + bulk spans +
-// blocked microkernel) and through (spawn-per-launch + Vec4 loop +
-// naive microkernel, i.e. the pre-optimization implementation kept as
-// the oracle), and the outputs must be bitwise identical while every
-// LaunchStats field must be exactly equal. Mesh sizes below 8x8 and
-// tile shapes that are not multiples of the Vec4 width or the 4x4
-// register block exercise the padding/tail paths of both.
+// The bulk span-level bus primitives and the register-blocked local
+// GEMM promise one invariant: *no modeled observable changes*. These
+// tests hold them to that — the same mesh GEMM is run through (bulk
+// spans + blocked microkernel) and through (Vec4 loop + naive
+// microkernel, the original implementation kept as the oracle), and
+// the outputs must be bitwise identical while every LaunchStats field
+// must be exactly equal. Mesh sizes below 8x8 and tile shapes that are
+// not multiples of the Vec4 width or the 4x4 register block exercise
+// the padding/tail paths of both. (The host execution strategy itself
+// is pinned by the golden fixtures of sim_fiber_golden_test.)
 
 #include <gtest/gtest.h>
 
@@ -41,7 +41,7 @@ struct PathResult {
 };
 
 PathResult run_gemm(const arch::Sw26010Spec& spec, const GemmCase& c,
-                    bool use_pool, conv::BusPathMode mode, bool accumulate) {
+                    conv::BusPathMode mode, bool accumulate) {
   util::Rng rng(7);
   std::vector<double> a(static_cast<std::size_t>(c.k * c.m));
   std::vector<double> b(static_cast<std::size_t>(c.k * c.n));
@@ -57,7 +57,6 @@ PathResult run_gemm(const arch::Sw26010Spec& spec, const GemmCase& c,
     }
   }
   sim::MeshExecutor exec(spec);
-  exec.set_use_worker_pool(use_pool);
   conv::MeshGemmOptions options;
   options.accumulate = accumulate;
   options.bus_mode = mode;
@@ -93,11 +92,9 @@ TEST_P(BulkRegcommEquivalence, BulkMatchesVec4ReferenceAcrossMeshSizes) {
     SCOPED_TRACE("mesh " + std::to_string(dim) + "x" + std::to_string(dim));
     const arch::Sw26010Spec spec = small_spec(dim);
     const PathResult fast =
-        run_gemm(spec, c, /*use_pool=*/true, conv::BusPathMode::kBulkSpan,
-                 /*accumulate=*/false);
-    const PathResult ref =
-        run_gemm(spec, c, /*use_pool=*/false,
-                 conv::BusPathMode::kVec4Reference, /*accumulate=*/false);
+        run_gemm(spec, c, conv::BusPathMode::kBulkSpan, /*accumulate=*/false);
+    const PathResult ref = run_gemm(spec, c, conv::BusPathMode::kVec4Reference,
+                                    /*accumulate=*/false);
     expect_identical(fast, ref);
   }
 }
@@ -106,11 +103,9 @@ TEST_P(BulkRegcommEquivalence, AccumulateModeMatches) {
   const GemmCase c = GetParam();
   const arch::Sw26010Spec spec = small_spec(4);
   const PathResult fast =
-      run_gemm(spec, c, /*use_pool=*/true, conv::BusPathMode::kBulkSpan,
-               /*accumulate=*/true);
-  const PathResult ref =
-      run_gemm(spec, c, /*use_pool=*/false, conv::BusPathMode::kVec4Reference,
-               /*accumulate=*/true);
+      run_gemm(spec, c, conv::BusPathMode::kBulkSpan, /*accumulate=*/true);
+  const PathResult ref = run_gemm(spec, c, conv::BusPathMode::kVec4Reference,
+                                  /*accumulate=*/true);
   expect_identical(fast, ref);
 }
 
@@ -125,20 +120,9 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{17, 8, 23},    // mixed full blocks + tails
                       GemmCase{1, 64, 1}));   // degenerate rank-1 output
 
-TEST(BulkRegcommEquivalenceTest, PoolAloneChangesNothing) {
-  // Isolate the worker-pool variable: same bus path, pool on vs off.
-  const GemmCase c{13, 29, 11};
-  const arch::Sw26010Spec spec = small_spec(4);
-  const PathResult pool = run_gemm(spec, c, /*use_pool=*/true,
-                                   conv::BusPathMode::kBulkSpan, false);
-  const PathResult spawn = run_gemm(spec, c, /*use_pool=*/false,
-                                    conv::BusPathMode::kBulkSpan, false);
-  expect_identical(pool, spawn);
-}
-
 TEST(BulkRegcommEquivalenceTest, RepeatedLaunchesOnOneExecutorAreIdentical) {
   // The launch-boundary reset must leave no residue: the same GEMM on
-  // the same (pooled) executor must report identical stats every time.
+  // the same executor must report identical stats every time.
   const GemmCase c{16, 32, 16};
   util::Rng rng(11);
   std::vector<double> a(static_cast<std::size_t>(c.k * c.m));

@@ -209,5 +209,98 @@ TEST(Executor, ChargeFlopsRoundsUpCycles) {
   EXPECT_EQ(stats.max_compute_cycles, 2u);
 }
 
+// --- Mesh-protocol deadlocks -------------------------------------------------
+//
+// A launch whose CPEs block each other for good must end in a named
+// MeshDeadlock, immediately, and leave the executor usable.
+
+/// A clean launch on `exec` (a 2x2 mesh) that exercises the bus and the
+/// barrier: row put/get, then a sync.
+void expect_clean_launch(MeshExecutor& exec) {
+  std::vector<double> received(2, -1);
+  int after_sync = 0;
+  const LaunchStats stats = exec.run([&](CpeContext& ctx) {
+    if (ctx.col() == 0) {
+      ctx.put_row(1, Vec4::splat(static_cast<double>(ctx.row() + 30)));
+    } else {
+      received[static_cast<std::size_t>(ctx.row())] = ctx.get_row().lane[0];
+    }
+    ctx.sync();
+    ++after_sync;
+  });
+  EXPECT_EQ(received[0], 30.0);
+  EXPECT_EQ(received[1], 31.0);
+  EXPECT_EQ(after_sync, 4);
+  EXPECT_EQ(stats.regcomm_messages, 2u);
+  EXPECT_FALSE(stats.failed);
+}
+
+std::string deadlock_message(MeshExecutor& exec,
+                             const MeshExecutor::Kernel& kernel) {
+  try {
+    exec.run(kernel);
+  } catch (const MeshDeadlock& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "launch completed instead of deadlocking";
+  return "";
+}
+
+TEST(MeshDeadlock, GetWithNoSenderIsNamed) {
+  MeshExecutor exec(mesh_spec(2));
+  const std::string what = deadlock_message(exec, [](CpeContext& ctx) {
+    // Heap state live on the blocked fiber's stack must be released
+    // when the scheduler unwinds it.
+    std::vector<double> scratch(1024, 1.0);
+    if (ctx.id() == 1) scratch[0] = ctx.get_row().lane[0];  // no sender
+  });
+  EXPECT_NE(what.find("CPE 1 (0,1) waits on a message on its row buffer"),
+            std::string::npos)
+      << what;
+  for (const char* idle : {"CPE 0 ", "CPE 2 ", "CPE 3 "}) {
+    EXPECT_EQ(what.find(idle), std::string::npos) << what;
+  }
+  expect_clean_launch(exec);
+}
+
+TEST(MeshDeadlock, SkippedSyncIsNamed) {
+  MeshExecutor exec(mesh_spec(2));
+  const std::string what = deadlock_message(exec, [](CpeContext& ctx) {
+    if (ctx.id() != 3) ctx.sync();  // CPE 3 never arrives
+  });
+  for (const char* blocked : {"CPE 0 (0,0) waits on the barrier",
+                              "CPE 1 (0,1) waits on the barrier",
+                              "CPE 2 (1,0) waits on the barrier"}) {
+    EXPECT_NE(what.find(blocked), std::string::npos) << what;
+  }
+  EXPECT_EQ(what.find("CPE 3 "), std::string::npos) << what;
+  EXPECT_NE(what.find("3 of 4 CPEs at the barrier"), std::string::npos)
+      << what;
+  expect_clean_launch(exec);
+}
+
+TEST(MeshDeadlock, ColumnGetAndFullBufferAreNamed) {
+  arch::Sw26010Spec spec = mesh_spec(2);
+  spec.transfer_buffer_slots = 2;
+  MeshExecutor exec(spec);
+  const std::string what = deadlock_message(exec, [](CpeContext& ctx) {
+    if (ctx.id() == 0) {
+      // Three Puts into a two-slot buffer nobody drains.
+      for (int i = 0; i < 3; ++i) ctx.put_row(1, Vec4::splat(1.0));
+    } else if (ctx.id() == 3) {
+      ctx.get_col();  // CPE 1 never sends down column 1
+    }
+  });
+  EXPECT_NE(what.find("CPE 0 (0,0) waits on a free slot in the row buffer "
+                      "of CPE 1"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(
+      what.find("CPE 3 (1,1) waits on a message on its column buffer"),
+      std::string::npos)
+      << what;
+  expect_clean_launch(exec);
+}
+
 }  // namespace
 }  // namespace swdnn::sim

@@ -51,8 +51,8 @@ TEST(FaultSite, NamesAreDistinct) {
 
 TEST(FaultInjector, SameSeedReplaysIdenticalEventTrace) {
   // Two independent injectors with the same plan, driving the same
-  // workload over 64 concurrent CPE threads, must log exactly the same
-  // events — the determinism the replay tests depend on.
+  // workload over 16 CPEs, must log exactly the same events — the
+  // determinism the replay tests depend on.
   FaultPlan plan;
   plan.seed = 12345;
   plan.dma_fault_rate = 0.4;
@@ -161,6 +161,24 @@ TEST(DmaFaults, ExhaustedRetriesMarkTheLaunchPersistentlyFailed) {
   EXPECT_TRUE(stats.failed);
   EXPECT_TRUE(stats.persistent_fault);
   EXPECT_FALSE(stats.failure.empty());
+}
+
+TEST(DmaFaults, ReportedFailureIsTheLowestFailingCpesFirst) {
+  // CPE 3 fails before CPE 0 does (CPE 0 fails only after the barrier,
+  // which CPE 3 reaches last), and CPE 0 fails twice. The reported
+  // failure must not depend on that order: it is CPE 0's first.
+  MeshExecutor exec(mesh_spec(2));
+  const LaunchStats stats = exec.run([](CpeContext& ctx) {
+    if (ctx.id() == 3) ctx.fail_launch("cpe 3", /*persistent=*/false);
+    ctx.sync();
+    if (ctx.id() == 0) {
+      ctx.fail_launch("cpe 0 first", /*persistent=*/false);
+      ctx.fail_launch("cpe 0 second", /*persistent=*/true);
+    }
+  });
+  EXPECT_TRUE(stats.failed);
+  EXPECT_TRUE(stats.persistent_fault);
+  EXPECT_EQ(stats.failure, "cpe 0 first");
 }
 
 TEST(DmaFaults, SingleFaultWithoutRetryPolicyIsTransient) {
@@ -320,7 +338,7 @@ TEST(RetryBackoff, DeepRetryLaddersRunWithoutOverflow) {
 // exactly like the Vec4 reference loop, so an identical campaign must
 // produce an identical event trace and identical stats on both paths.
 
-LaunchStats run_faulty_mesh_gemm(FaultInjector& injector, bool use_pool,
+LaunchStats run_faulty_mesh_gemm(FaultInjector& injector,
                                  conv::BusPathMode mode,
                                  std::vector<double>& out) {
   util::Rng rng(21);
@@ -331,7 +349,6 @@ LaunchStats run_faulty_mesh_gemm(FaultInjector& injector, bool use_pool,
   rng.fill_normal(b, 0.0, 1.0);
   out.assign(static_cast<std::size_t>(m * n), 0.0);
   MeshExecutor exec(mesh_spec(4));
-  exec.set_use_worker_pool(use_pool);
   exec.set_fault_injector(&injector);
   exec.set_retry_policy({/*max_attempts=*/4, /*backoff_cycles=*/8});
   conv::MeshGemmOptions options;
@@ -358,13 +375,12 @@ TEST(BulkPathFaults, StallCampaignIdenticalOnBulkAndReferencePaths) {
   FaultInjector injector(plan);
 
   std::vector<double> out_bulk, out_ref;
-  const LaunchStats bulk = run_faulty_mesh_gemm(
-      injector, /*use_pool=*/true, conv::BusPathMode::kBulkSpan, out_bulk);
+  const LaunchStats bulk =
+      run_faulty_mesh_gemm(injector, conv::BusPathMode::kBulkSpan, out_bulk);
   const auto events_bulk = injector.events();
   injector.reset();  // replay the identical campaign on the oracle path
-  const LaunchStats ref =
-      run_faulty_mesh_gemm(injector, /*use_pool=*/false,
-                           conv::BusPathMode::kVec4Reference, out_ref);
+  const LaunchStats ref = run_faulty_mesh_gemm(
+      injector, conv::BusPathMode::kVec4Reference, out_ref);
   const auto events_ref = injector.events();
 
   ASSERT_GT(events_bulk.size(), 0u);
@@ -384,13 +400,12 @@ TEST(BulkPathFaults, DmaAndLdmCampaignIdenticalOnBulkAndReferencePaths) {
   FaultInjector injector(plan);
 
   std::vector<double> out_bulk, out_ref;
-  const LaunchStats bulk = run_faulty_mesh_gemm(
-      injector, /*use_pool=*/true, conv::BusPathMode::kBulkSpan, out_bulk);
+  const LaunchStats bulk =
+      run_faulty_mesh_gemm(injector, conv::BusPathMode::kBulkSpan, out_bulk);
   const auto events_bulk = injector.events();
   injector.reset();
-  const LaunchStats ref =
-      run_faulty_mesh_gemm(injector, /*use_pool=*/false,
-                           conv::BusPathMode::kVec4Reference, out_ref);
+  const LaunchStats ref = run_faulty_mesh_gemm(
+      injector, conv::BusPathMode::kVec4Reference, out_ref);
   const auto events_ref = injector.events();
 
   ASSERT_GT(events_bulk.size(), 0u);

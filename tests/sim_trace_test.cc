@@ -5,6 +5,7 @@
 
 #include <fstream>
 #include <set>
+#include <thread>
 
 #include "src/conv/ldm_blocked.h"
 #include "src/conv/reference.h"
@@ -150,18 +151,24 @@ TEST(Tracer, CapturesAConvolutionLaunch) {
 }
 
 TEST(Tracer, ConcurrentRecordingIsSafe) {
-  // 64 CPE threads recording into one tracer.
-  MeshExecutor exec;  // full 8x8 mesh
+  // Two full 8x8 executors launching on two host threads, recording
+  // into one tracer.
   EventTracer tracer;
-  exec.set_tracer(&tracer);
   std::vector<double> global(64 * 8);
-  exec.run([&](CpeContext& ctx) {
-    auto buf = ctx.ldm().alloc_doubles(8);
-    for (int rep = 0; rep < 10; ++rep) {
-      ctx.dma_get({global.data() + ctx.id() * 8, 8}, buf);
-    }
-  });
-  EXPECT_EQ(tracer.size(), 64u * 10u);
+  auto launch = [&] {
+    MeshExecutor exec;
+    exec.set_tracer(&tracer);
+    exec.run([&](CpeContext& ctx) {
+      auto buf = ctx.ldm().alloc_doubles(8);
+      for (int rep = 0; rep < 10; ++rep) {
+        ctx.dma_get({global.data() + ctx.id() * 8, 8}, buf);
+      }
+    });
+  };
+  std::thread other(launch);
+  launch();
+  other.join();
+  EXPECT_EQ(tracer.size(), 2u * 64u * 10u);
 }
 
 }  // namespace
