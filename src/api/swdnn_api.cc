@@ -19,12 +19,15 @@
 namespace swdnn::api {
 
 struct Handle {
-  arch::Sw26010Spec spec = arch::default_spec();
+  // Owns the handle's one persistent mesh executor: every mesh launch
+  // (forward, backward-data, backward-filter) goes through it and
+  // serializes on its launch mutex.
   conv::SwConvolution sw;
 
   // Guards the per-call mutable state below. Held only for short
   // bookkeeping sections, never across a simulated launch or a host
-  // GEMM, so concurrent calls through one handle overlap fully.
+  // GEMM, so concurrent calls through one handle overlap everywhere
+  // except on the executor.
   mutable std::mutex mutex;
   ExecutionRoute last_route = ExecutionRoute::kNone;
   PlanAlgo last_plan = PlanAlgo::kNone;
@@ -33,7 +36,6 @@ struct Handle {
   char last_error[256] = {0};
   sim::EventTracer* tracer = nullptr;  // configuration-phase pointer
   std::unique_ptr<sim::FaultInjector> injector;
-  sim::RetryPolicy retry;
   std::uint64_t host_fallbacks = 0;
   std::uint64_t dma_retries = 0;
   std::uint64_t plan_fallbacks = 0;
@@ -48,15 +50,7 @@ struct Handle {
   // mints zero tensors per call regardless of route.
   tensor::TensorPool pool;
 
-  // Persistent executor for launches the handle issues directly (the
-  // backward-filter path); its mesh and fiber stacks survive across
-  // calls.
-  // Launches serialize on bwd_exec_mutex; convolution_forward launches
-  // go through `sw`, which owns its own executor.
-  std::mutex bwd_exec_mutex;
-  std::unique_ptr<sim::MeshExecutor> bwd_exec;
-
-  explicit Handle(const arch::Sw26010Spec& s) : spec(s), sw(s) {}
+  explicit Handle(const arch::Sw26010Spec& s) : sw(s) {}
 };
 
 namespace {
@@ -69,6 +63,23 @@ void set_error_locked(Handle* handle, const char* message) {
 void set_error(Handle* handle, const char* message) {
   std::lock_guard<std::mutex> lock(handle->mutex);
   set_error_locked(handle, message);
+}
+
+/// Records how a call resolved: its diagnostic (empty on a clean mesh
+/// success, which clears whatever a previous call left behind; the
+/// degrade reason otherwise), the route and plan the last_* queries
+/// report, and the counters the call moved. A host route is a host
+/// fallback.
+void record_route(Handle* handle, ExecutionRoute route, PlanAlgo plan,
+                  const char* message, std::uint64_t dma_retries = 0,
+                  bool plan_fallback = false) {
+  std::lock_guard<std::mutex> lock(handle->mutex);
+  set_error_locked(handle, message);
+  handle->dma_retries += dma_retries;
+  if (plan_fallback) ++handle->plan_fallbacks;
+  if (route == ExecutionRoute::kHostGemm) ++handle->host_fallbacks;
+  handle->last_route = route;
+  handle->last_plan = plan;
 }
 
 PlanAlgo to_plan_algo(perf::PlanKind kind) {
@@ -280,19 +291,11 @@ Status convolution_forward_ex(Handle* handle, const TensorDescriptor& x_desc,
       try {
         const conv::ForwardResult result = handle->sw.execute_choice(
             choice, *input, *filter, *output, shape);
-        std::lock_guard<std::mutex> lock(handle->mutex);
-        handle->dma_retries += result.stats.dma_retries;
-        if (a > 0) {
-          ++handle->plan_fallbacks;
-          set_error_locked(handle, degrade_reason.c_str());
-        } else {
-          // A clean success invalidates whatever diagnostic a previous
-          // call left behind; a stale message must not be attributed to
-          // this call by an error-reporting layer above.
-          set_error_locked(handle, "");
-        }
-        handle->last_route = ExecutionRoute::kSimulatedMesh;
-        handle->last_plan = to_plan_algo(choice.plan.kind);
+        // A plan fallback is a degraded success: it keeps its reason.
+        record_route(handle, ExecutionRoute::kSimulatedMesh,
+                     to_plan_algo(choice.plan.kind),
+                     a > 0 ? degrade_reason.c_str() : "",
+                     result.stats.dma_retries, /*plan_fallback=*/a > 0);
         mesh_done = true;
       } catch (const sim::LaunchFault& e) {
         degrade_reason = e.what();
@@ -312,11 +315,8 @@ Status convolution_forward_ex(Handle* handle, const TensorDescriptor& x_desc,
       trace_dispatch(handle, "host_fallback");
       output->zero();
       conv::im2col_forward(*input, *filter, *output, shape, &handle->pool);
-      std::lock_guard<std::mutex> lock(handle->mutex);
-      set_error_locked(handle, degrade_reason.c_str());
-      ++handle->host_fallbacks;
-      handle->last_route = ExecutionRoute::kHostGemm;
-      handle->last_plan = PlanAlgo::kNone;
+      record_route(handle, ExecutionRoute::kHostGemm, PlanAlgo::kNone,
+                   degrade_reason.c_str());
     }
     // The fused epilogue runs after route resolution, so the fault
     // ladder above is route-for-route identical to the unfused call.
@@ -391,20 +391,15 @@ Status convolution_backward_data(Handle* handle,
       din->zero();
       conv::im2col_backward_data(*dout, *filter, *din, shape,
                                  &handle->pool);
-      std::lock_guard<std::mutex> lock(handle->mutex);
-      set_error_locked(handle, reason);
-      ++handle->host_fallbacks;
-      handle->last_route = ExecutionRoute::kHostGemm;
-      handle->last_plan = PlanAlgo::kNone;
+      record_route(handle, ExecutionRoute::kHostGemm, PlanAlgo::kNone,
+                   reason);
     };
     try {
       const conv::ForwardResult result = conv::swconv_backward_data(
           handle->sw, *dout, *filter, *din, shape, &handle->pool);
-      std::lock_guard<std::mutex> lock(handle->mutex);
-      handle->dma_retries += result.stats.dma_retries;
-      set_error_locked(handle, "");  // clean success clears stale errors
-      handle->last_route = ExecutionRoute::kSimulatedMesh;
-      handle->last_plan = to_plan_algo(result.choice.plan.kind);
+      record_route(handle, ExecutionRoute::kSimulatedMesh,
+                   to_plan_algo(result.choice.plan.kind), "",
+                   result.stats.dma_retries);
     } catch (const sim::LaunchFault& e) {
       // A fault the tile-retry policy could not absorb: the mesh route
       // is degraded, so recompute the whole call on the host. The
@@ -449,8 +444,7 @@ Status convolution_backward_filter(Handle* handle,
     // the forward and backward-data paths already route around; send
     // the filter gradient to the host too — recorded, never silent —
     // so a compiled network gets a complete training step for any
-    // shape. Mesh-executable shapes keep the mesh-only contract below
-    // (a fault surfaces as kTransientFault/kDeviceFault).
+    // shape.
     const perf::PlanCache::LookupResult lookup =
         handle->sw.ranked_plans(shape);
     trace_dispatch(handle, lookup.hit ? "hit" : "miss");
@@ -460,39 +454,23 @@ Status convolution_backward_filter(Handle* handle,
                                    &handle->pool);
       const std::string reason = "no mesh-executable plan for " +
                                  shape.to_string() + "; routed to host GEMM";
-      {
-        std::lock_guard<std::mutex> lock(handle->mutex);
-        set_error_locked(handle, reason.c_str());
-        ++handle->host_fallbacks;
-        handle->last_route = ExecutionRoute::kHostGemm;
-        handle->last_plan = PlanAlgo::kNone;
+      record_route(handle, ExecutionRoute::kHostGemm, PlanAlgo::kNone,
+                   reason.c_str());
+    } else {
+      // A mesh-executable shape stays on the mesh: a fault the retry
+      // policy could not absorb surfaces as its fault class, so the
+      // framework can retry or re-plan, rather than being recomputed on
+      // the host. The per-tap GEMMs run no conv plan (last_plan kNone).
+      try {
+        const sim::LaunchStats stats =
+            handle->sw.backward_filter(*input, *dout, *dfilter, shape);
+        record_route(handle, ExecutionRoute::kSimulatedMesh, PlanAlgo::kNone,
+                     "", stats.dma_retries);
+      } catch (const sim::LaunchFault& e) {
+        set_error(handle, e.what());
+        return e.persistent() ? Status::kDeviceFault
+                              : Status::kTransientFault;
       }
-      std::copy(dfilter->data().begin(), dfilter->data().end(), dw);
-      return Status::kSuccess;
-    }
-
-    std::lock_guard<std::mutex> launch_lock(handle->bwd_exec_mutex);
-    if (handle->bwd_exec == nullptr) {
-      handle->bwd_exec = std::make_unique<sim::MeshExecutor>(handle->spec);
-    }
-    sim::MeshExecutor& exec = *handle->bwd_exec;
-    exec.set_fault_injector(handle->injector.get());
-    exec.set_retry_policy(handle->retry);
-    exec.set_tracer(handle->tracer);
-    const sim::LaunchStats stats =
-        conv::mesh_backward_filter(exec, *input, *dout, *dfilter, shape);
-    if (stats.failed) {
-      // backward-filter has no host route in this build: surface the
-      // fault class so the framework can retry or re-plan.
-      set_error(handle, stats.failure.c_str());
-      return stats.persistent_fault ? Status::kDeviceFault
-                                    : Status::kTransientFault;
-    }
-    {
-      std::lock_guard<std::mutex> lock(handle->mutex);
-      handle->dma_retries += stats.dma_retries;
-      set_error_locked(handle, "");  // clean success clears stale errors
-      handle->last_route = ExecutionRoute::kSimulatedMesh;
     }
     std::copy(dfilter->data().begin(), dfilter->data().end(), dw);
   } catch (const std::exception& e) {
@@ -658,8 +636,8 @@ Status set_fault_plan(Handle* handle, const sim::FaultPlan* plan) {
 Status set_retry_policy(Handle* handle, int max_attempts,
                         std::uint64_t backoff_cycles) {
   if (handle == nullptr || max_attempts < 1) return Status::kBadParam;
-  handle->retry = sim::RetryPolicy{max_attempts, backoff_cycles};
-  handle->sw.set_retry_policy(handle->retry);
+  handle->sw.set_retry_policy(
+      sim::RetryPolicy{max_attempts, backoff_cycles});
   return Status::kSuccess;
 }
 

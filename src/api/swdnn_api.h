@@ -25,7 +25,9 @@
 // and query entry points — N worker threads may issue
 // convolution_forward / convolution_backward_* / get_convolution_estimate
 // calls through one shared handle simultaneously, the serving-front-end
-// shape (convolution_forward_batch packages exactly that dispatch).
+// shape (convolution_forward_batch packages exactly that dispatch). The
+// handle owns one simulated core group: those calls' mesh launches
+// serialize on it, while staging, plan lookups and host routes overlap.
 // Per-handle mutable state (last_execution_route, the error buffer,
 // fault counters, the plan cache) is internally guarded; the last_*
 // queries report the most recently *completed* call, which under
@@ -144,8 +146,11 @@ struct ForwardWorkItem {
 /// through one handle: `num_threads` workers (clamped to count) pull
 /// items off a shared queue and run convolution_forward on each — the
 /// serving front-end's fan-out, sharing the handle's plan cache and
-/// counters. Every item's own `status` is filled; the call returns the
-/// first non-success item status, else kSuccess.
+/// counters. The workers overlap their staging, plan lookups and host
+/// routes, but their mesh launches serialize on the handle's one
+/// executor; workers that must launch in parallel use one handle each.
+/// Every item's own `status` is filled; the call returns the first
+/// non-success item status, else kSuccess.
 Status convolution_forward_batch(Handle* handle, ForwardWorkItem* items,
                                  int count, int num_threads);
 
@@ -157,7 +162,10 @@ Status convolution_backward_data(Handle* handle,
                                  const double* dy,
                                  const TensorDescriptor& dx_desc, double* dx);
 
-/// dw = conv_backward_filter(x, dy).
+/// dw = conv_backward_filter(x, dy). A mesh-executable shape runs as
+/// one mesh GEMM per filter tap and has no host retry: a fault the
+/// retry policy cannot absorb returns kTransientFault or kDeviceFault.
+/// A shape with no mesh-executable plan takes the host GEMM route.
 Status convolution_backward_filter(Handle* handle,
                                    const TensorDescriptor& x_desc,
                                    const double* x,
@@ -229,7 +237,8 @@ const char* plan_algo_name(PlanAlgo algo);
 
 /// The PlanKind of the cached plan that executed the last mesh-routed
 /// convolution on this handle (kNone when the last call took the host
-/// route or nothing ran yet).
+/// route, was a backward-filter — its per-tap GEMMs run no conv plan —
+/// or nothing ran yet).
 PlanAlgo last_plan_algo(const Handle* handle);
 
 struct PlanCacheCounters {

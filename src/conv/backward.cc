@@ -4,30 +4,27 @@
 
 namespace swdnn::conv {
 
-tensor::Tensor zero_pad_output_gradient(const tensor::Tensor& d_output,
-                                        const ConvShape& shape) {
+void zero_pad_output_gradient(const tensor::Tensor& d_output,
+                              const ConvShape& shape,
+                              tensor::Tensor& padded) {
   const std::int64_t pr = shape.kr - 1;
   const std::int64_t pc = shape.kc - 1;
-  tensor::Tensor padded({shape.ro() + 2 * pr, shape.co() + 2 * pc, shape.no,
-                         shape.batch});
+  padded.zero();
   for (std::int64_t r = 0; r < shape.ro(); ++r)
     for (std::int64_t c = 0; c < shape.co(); ++c)
       for (std::int64_t no = 0; no < shape.no; ++no)
         for (std::int64_t b = 0; b < shape.batch; ++b)
           padded.at(r + pr, c + pc, no, b) = d_output.at(r, c, no, b);
-  return padded;
 }
 
-tensor::Tensor rotate_filter(const tensor::Tensor& filter,
-                             const ConvShape& shape) {
-  tensor::Tensor rotated({shape.kr, shape.kc, shape.no, shape.ni});
+void rotate_filter(const tensor::Tensor& filter, const ConvShape& shape,
+                   tensor::Tensor& rotated) {
   for (std::int64_t kr = 0; kr < shape.kr; ++kr)
     for (std::int64_t kc = 0; kc < shape.kc; ++kc)
       for (std::int64_t ni = 0; ni < shape.ni; ++ni)
         for (std::int64_t no = 0; no < shape.no; ++no)
           rotated.at(kr, kc, no, ni) =
               filter.at(shape.kr - 1 - kr, shape.kc - 1 - kc, ni, no);
-  return rotated;
 }
 
 ConvShape backward_data_shape(const ConvShape& shape) {
@@ -55,33 +52,22 @@ ForwardResult swconv_backward_data(SwConvolution& sw,
   const ConvShape bshape = backward_data_shape(shape);
   const perf::PlanChoice choice = sw.plan_for(bshape, true);
 
-  const std::int64_t pr = shape.kr - 1;
-  const std::int64_t pc = shape.kc - 1;
   const std::vector<std::int64_t> padded_dims{
-      shape.ro() + 2 * pr, shape.co() + 2 * pc, shape.no, shape.batch};
+      shape.ro() + 2 * (shape.kr - 1), shape.co() + 2 * (shape.kc - 1),
+      shape.no, shape.batch};
   const std::vector<std::int64_t> rotated_dims{shape.kr, shape.kc, shape.no,
                                                shape.ni};
-  // The pad borders must be zero, so the padded buffer comes back
-  // zeroed either way; the rotated filter is fully overwritten.
+  // Both staging tensors are fully overwritten (the pad borders too).
   tensor::PooledTensor padded =
       pool != nullptr
-          ? pool->acquire(padded_dims)
+          ? pool->acquire_dirty(padded_dims)
           : tensor::PooledTensor(nullptr, tensor::Tensor(padded_dims));
   tensor::PooledTensor rotated =
       pool != nullptr
           ? pool->acquire_dirty(rotated_dims)
           : tensor::PooledTensor(nullptr, tensor::Tensor(rotated_dims));
-  for (std::int64_t r = 0; r < shape.ro(); ++r)
-    for (std::int64_t c = 0; c < shape.co(); ++c)
-      for (std::int64_t no = 0; no < shape.no; ++no)
-        for (std::int64_t b = 0; b < shape.batch; ++b)
-          padded->at(r + pr, c + pc, no, b) = d_output.at(r, c, no, b);
-  for (std::int64_t kr = 0; kr < shape.kr; ++kr)
-    for (std::int64_t kc = 0; kc < shape.kc; ++kc)
-      for (std::int64_t ni = 0; ni < shape.ni; ++ni)
-        for (std::int64_t no = 0; no < shape.no; ++no)
-          rotated->at(kr, kc, no, ni) =
-              filter.at(shape.kr - 1 - kr, shape.kc - 1 - kc, ni, no);
+  zero_pad_output_gradient(d_output, shape, *padded);
+  rotate_filter(filter, shape, *rotated);
   return sw.execute_choice(choice, *padded, *rotated, d_input, bshape);
 }
 
@@ -125,29 +111,12 @@ sim::LaunchStats mesh_backward_filter(sim::MeshExecutor& exec,
           }
       // dW(kr,kc)[ni][no] = sum_s in_mat[s][ni] * dout_mat[s][no]: the
       // driver's a=[k][m], b=[k][n] convention with k = S.
-      const sim::LaunchStats stats =
-          mesh_gemm(exec, in_mat, dout_mat, dw_slice, shape.ni, s_len,
-                    shape.no);
+      total.merge(mesh_gemm(exec, in_mat, dout_mat, dw_slice, shape.ni,
+                            s_len, shape.no));
       for (std::int64_t ni = 0; ni < shape.ni; ++ni)
         for (std::int64_t no = 0; no < shape.no; ++no)
           d_filter.at(kr, kc, ni, no) =
               dw_slice[static_cast<std::size_t>(ni * shape.no + no)];
-
-      total.max_compute_cycles += stats.max_compute_cycles;
-      total.total_flops += stats.total_flops;
-      total.regcomm_messages += stats.regcomm_messages;
-      total.dma.get_bytes += stats.dma.get_bytes;
-      total.dma.put_bytes += stats.dma.put_bytes;
-      total.dma.requests += stats.dma.requests;
-      total.dma_seconds += stats.dma_seconds;
-      total.compute_seconds += stats.compute_seconds;
-      total.fault_events += stats.fault_events;
-      total.dma_retries += stats.dma_retries;
-      if (stats.failed && !total.failed) {
-        total.failed = true;
-        total.persistent_fault = stats.persistent_fault;
-        total.failure = stats.failure;
-      }
     }
   }
   return total;

@@ -23,15 +23,17 @@
 
 namespace swdnn::conv {
 
-/// Zero-pads an output-gradient tensor [Ro][Co][No][B] by (Kr-1, Kc-1)
-/// on every spatial side: the "full correlation" input.
-tensor::Tensor zero_pad_output_gradient(const tensor::Tensor& d_output,
-                                        const ConvShape& shape);
+/// Writes the output gradient [Ro][Co][No][B] zero-padded by (Kr-1,
+/// Kc-1) on every spatial side — the "full correlation" input — into
+/// `padded` [Ro+2(Kr-1)][Co+2(Kc-1)][No][B], borders included.
+void zero_pad_output_gradient(const tensor::Tensor& d_output,
+                              const ConvShape& shape, tensor::Tensor& padded);
 
-/// Rotates the filter 180 degrees spatially and swaps the channel axes:
-/// result[kr][kc][no][ni] = w[Kr-1-kr][Kc-1-kc][ni][no].
-tensor::Tensor rotate_filter(const tensor::Tensor& filter,
-                             const ConvShape& shape);
+/// Writes the filter rotated 180 degrees spatially with its channel axes
+/// swapped into `rotated` [Kr][Kc][No][Ni]:
+/// rotated[kr][kc][no][ni] = w[Kr-1-kr][Kc-1-kc][ni][no].
+void rotate_filter(const tensor::Tensor& filter, const ConvShape& shape,
+                   tensor::Tensor& rotated);
 
 /// The forward-shape equivalent of the backward-data pass: same batch
 /// and filter extents, input/output channel counts swapped, output
@@ -53,7 +55,10 @@ ForwardResult swconv_backward_data(SwConvolution& sw,
 
 /// dW = backward-filter(In, dOut) on the simulated mesh: one
 /// distributed GEMM per filter tap. d_filter is overwritten. Works for
-/// any shape (the GEMM driver pads ragged tiles).
+/// any shape (the GEMM driver pads ragged tiles). Every tap runs; the
+/// result is the taps' stats merged (LaunchStats::merge), so a failure
+/// is the first failed tap's. SwConvolution::backward_filter runs this
+/// on its shared executor and throws on failure.
 sim::LaunchStats mesh_backward_filter(sim::MeshExecutor& exec,
                                       const tensor::Tensor& input,
                                       const tensor::Tensor& d_output,

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/conv/backward.h"
 #include "src/conv/multigrain.h"
 #include "src/conv/reference.h"
 #include "src/timing/kernels.h"
@@ -30,6 +31,40 @@ bool executable_on_mesh(const ConvShape& shape, const perf::ConvPlan& plan,
     return true;
   } catch (const std::invalid_argument&) {
     return false;
+  }
+}
+
+/// The one plan-kind dispatch: runs output rows [ro_begin, ro_end) of
+/// `shape` under `plan` as one launch on `exec`.
+sim::LaunchStats run_plan(sim::MeshExecutor& exec, const perf::ConvPlan& plan,
+                          const tensor::Tensor& input,
+                          const tensor::Tensor& filter,
+                          tensor::Tensor& output, const ConvShape& shape,
+                          std::int64_t ro_begin = 0,
+                          std::int64_t ro_end = -1) {
+  switch (plan.kind) {
+    case perf::PlanKind::kImageSizeAware:
+      return run_image_size_aware(exec, input, filter, output, shape, plan,
+                                  ro_begin, ro_end);
+    case perf::PlanKind::kBatchSizeAware:
+      return run_batch_size_aware(exec, input, filter, output, shape, plan,
+                                  ro_begin, ro_end);
+    case perf::PlanKind::kFilterGrained:
+      return run_filter_grained(exec, input, filter, output, shape, plan,
+                                ro_begin, ro_end);
+    case perf::PlanKind::kPixelGrained:
+      return run_pixel_grained(exec, input, filter, output, shape, plan,
+                               ro_begin, ro_end);
+    case perf::PlanKind::kDirect:
+      break;
+  }
+  throw MeshMappingError("direct plan has no mesh kernel");
+}
+
+/// Surfaces a launch's unabsorbed fault to the caller.
+void throw_if_failed(const sim::LaunchStats& stats) {
+  if (stats.failed) {
+    throw sim::LaunchFault(stats.failure, stats.persistent_fault);
   }
 }
 
@@ -245,77 +280,53 @@ ForwardResult SwConvolution::execute_choice(const perf::PlanChoice& choice,
                                             tensor::Tensor& output,
                                             const ConvShape& shape) {
   std::lock_guard<std::mutex> launch_lock(exec_mutex_);
-  sim::MeshExecutor& exec = shared_executor();
-  sim::LaunchStats stats;
-  switch (choice.plan.kind) {
-    case perf::PlanKind::kImageSizeAware:
-      stats = run_image_size_aware(exec, input, filter, output, shape,
-                                   choice.plan);
-      break;
-    case perf::PlanKind::kBatchSizeAware:
-      stats = run_batch_size_aware(exec, input, filter, output, shape,
-                                   choice.plan);
-      break;
-    case perf::PlanKind::kFilterGrained:
-      stats = run_filter_grained(exec, input, filter, output, shape,
-                                 choice.plan);
-      break;
-    case perf::PlanKind::kPixelGrained:
-      stats = run_pixel_grained(exec, input, filter, output, shape,
-                                choice.plan);
-      break;
-    case perf::PlanKind::kDirect:
-      throw MeshMappingError("direct plan has no mesh kernel");
-  }
-  if (stats.failed) {
-    throw sim::LaunchFault(stats.failure, stats.persistent_fault);
-  }
+  const sim::LaunchStats stats =
+      run_plan(shared_executor(), choice.plan, input, filter, output, shape);
+  throw_if_failed(stats);
   return ForwardResult{choice, stats};
+}
+
+sim::LaunchStats SwConvolution::backward_filter(const tensor::Tensor& input,
+                                                const tensor::Tensor& d_output,
+                                                tensor::Tensor& d_filter,
+                                                const ConvShape& shape) {
+  std::lock_guard<std::mutex> launch_lock(exec_mutex_);
+  const sim::LaunchStats stats = mesh_backward_filter(
+      shared_executor(), input, d_output, d_filter, shape);
+  throw_if_failed(stats);
+  return stats;
 }
 
 sim::MultiCgStats SwConvolution::forward_multi_cg(
     const tensor::Tensor& input, const tensor::Tensor& filter,
     tensor::Tensor& output, const ConvShape& shape, int num_cgs,
     std::optional<perf::ConvPlan> plan) {
+  if (num_cgs < 1 || num_cgs > spec_.num_core_groups) {
+    throw std::invalid_argument("forward_multi_cg: " +
+                                std::to_string(num_cgs) +
+                                " core groups requested, the chip has " +
+                                std::to_string(spec_.num_core_groups));
+  }
   const perf::ConvPlan p =
       plan.has_value() ? *plan : plan_for(shape, true).plan;
   const auto parts = sim::partition_output_rows(shape.ro(), num_cgs);
-  sim::MultiCgStats stats;
-  stats.launch_overhead_seconds = 2e-6;
-  std::lock_guard<std::mutex> launch_lock(exec_mutex_);
-  sim::MeshExecutor& exec = shared_executor();
-  for (std::size_t cg = 0; cg < parts.size(); ++cg) {
-    const auto& part = parts[cg];
-    if (injector_ != nullptr &&
-        injector_->poll_noc_link(static_cast<int>(cg))) {
+  // A severed link fails the whole call before any partition launches,
+  // so the caller can redistribute or fall back on an untouched output.
+  for (int cg = 0; cg < num_cgs; ++cg) {
+    if (injector_ != nullptr && injector_->poll_noc_link(cg)) {
       throw sim::LaunchFault(
           "NoC link to core group " + std::to_string(cg) + " is down",
           /*persistent=*/true);
     }
-    switch (p.kind) {
-      case perf::PlanKind::kImageSizeAware:
-        stats.per_cg.push_back(run_image_size_aware(
-            exec, input, filter, output, shape, p, part.begin, part.end));
-        break;
-      case perf::PlanKind::kBatchSizeAware:
-        stats.per_cg.push_back(run_batch_size_aware(
-            exec, input, filter, output, shape, p, part.begin, part.end));
-        break;
-      case perf::PlanKind::kFilterGrained:
-        stats.per_cg.push_back(run_filter_grained(
-            exec, input, filter, output, shape, p, part.begin, part.end));
-        break;
-      case perf::PlanKind::kPixelGrained:
-        stats.per_cg.push_back(run_pixel_grained(
-            exec, input, filter, output, shape, p, part.begin, part.end));
-        break;
-      case perf::PlanKind::kDirect:
-        throw MeshMappingError("direct plan has no mesh kernel");
-    }
-    if (stats.per_cg.back().failed) {
-      throw sim::LaunchFault(stats.per_cg.back().failure,
-                             stats.per_cg.back().persistent_fault);
-    }
+  }
+  sim::MultiCgStats stats;
+  stats.launch_overhead_seconds = 2e-6;
+  std::lock_guard<std::mutex> launch_lock(exec_mutex_);
+  sim::MeshExecutor& exec = shared_executor();
+  for (const sim::RowPartition& part : parts) {
+    stats.per_cg.push_back(run_plan(exec, p, input, filter, output, shape,
+                                    part.begin, part.end));
+    throw_if_failed(stats.per_cg.back());
   }
   return stats;
 }

@@ -53,8 +53,22 @@ class SwConvolution {
                                tensor::Tensor& output,
                                const ConvShape& shape);
 
+  /// dW = backward-filter(In, dOut): one distributed mesh GEMM per
+  /// filter tap (mesh_backward_filter) on the shared executor.
+  /// Overwrites `d_filter`. Like execute_choice, throws sim::LaunchFault
+  /// when a launch reports a fault it could not absorb.
+  sim::LaunchStats backward_filter(const tensor::Tensor& input,
+                                   const tensor::Tensor& d_output,
+                                   tensor::Tensor& d_filter,
+                                   const ConvShape& shape);
+
   /// Functional forward with output rows partitioned across `num_cgs`
-  /// core groups (the paper's §III-D scaling scheme).
+  /// core groups (the paper's §III-D scaling scheme). The simulation
+  /// runs the partitions one after another on the shared executor; the
+  /// stats model them as concurrent. Throws std::invalid_argument
+  /// unless 1 <= num_cgs <= spec().num_core_groups, and a persistent
+  /// sim::LaunchFault before any launch if an attached fault campaign
+  /// has severed the NoC link to one of the requested core groups.
   sim::MultiCgStats forward_multi_cg(
       const tensor::Tensor& input, const tensor::Tensor& filter,
       tensor::Tensor& output, const ConvShape& shape, int num_cgs,
@@ -128,9 +142,9 @@ class SwConvolution {
 
   /// Attaches a fault campaign to every simulated launch this object
   /// issues (nullptr detaches). When a launch reports an injected fault
-  /// it could not absorb under the retry policy, forward() throws
-  /// sim::LaunchFault after the launch drains; callers retry or fall
-  /// back to the host path.
+  /// it could not absorb under the retry policy, the launching method
+  /// throws sim::LaunchFault after the launch drains; callers retry or
+  /// fall back to the host path.
   void set_fault_injector(sim::FaultInjector* injector) {
     injector_ = injector;
   }
@@ -145,10 +159,11 @@ class SwConvolution {
   void set_tracer(sim::EventTracer* tracer) { tracer_ = tracer; }
   sim::EventTracer* tracer() const { return tracer_; }
 
-  // Threading: forward/execute_choice/plan_for/ranked_plans may run
-  // concurrently from many threads on one SwConvolution (launches share
-  // one persistent MeshExecutor — each launch runs its CPE fibers on
-  // the calling thread — and serialize on an internal mutex; the plan
+  // Threading: forward/execute_choice/backward_filter/forward_multi_cg/
+  // plan_for/ranked_plans may run concurrently from many threads on one
+  // SwConvolution (every launch goes through one persistent
+  // MeshExecutor — each launch runs its CPE fibers on the calling
+  // thread — and launches serialize on an internal mutex; the plan
   // cache locks internally; the attached tracer/injector are themselves
   // thread-safe). The setters (set_fault_injector, set_retry_policy,
   // set_tracer) are configuration-phase calls and must not race with

@@ -65,11 +65,7 @@ tensor::Tensor Convolution::backward(const tensor::Tensor& d_output) {
     // as a forward convolution on transformed tensors, backward-filter
     // as per-tap distributed GEMMs.
     conv::swconv_backward_data(sw_, d_output, filter_, d_input, shape_);
-    if (mesh_exec_ == nullptr) {
-      mesh_exec_ = std::make_unique<sim::MeshExecutor>(sw_.spec());
-    }
-    conv::mesh_backward_filter(*mesh_exec_, cached_input_, d_output,
-                               d_filter_, shape_);
+    sw_.backward_filter(cached_input_, d_output, d_filter_, shape_);
   } else {
     // GEMM-lowered gradients: same results as the reference loops (see
     // conv_im2col_test), much faster on the host.

@@ -81,11 +81,7 @@ class Convolution : public Layer {
   tensor::Tensor bias_;    ///< [No]; unused when !with_bias_
   tensor::Tensor d_bias_;
   tensor::Tensor cached_input_;
-  conv::SwConvolution sw_;
-  /// Persistent executor for the backward-filter launches on the mesh
-  /// backend (created on first use; its mesh and fiber stacks are
-  /// reused across training steps). Layers are not called concurrently, so no lock.
-  std::unique_ptr<sim::MeshExecutor> mesh_exec_;
+  conv::SwConvolution sw_;  ///< runs every mesh-backend launch
 
   /// True when the compiled path can route this layer through the API
   /// boundary (bound context + stride-1 shape).

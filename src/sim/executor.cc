@@ -27,6 +27,25 @@
 
 namespace swdnn::sim {
 
+void LaunchStats::merge(const LaunchStats& later) {
+  max_compute_cycles += later.max_compute_cycles;
+  total_flops += later.total_flops;
+  regcomm_messages += later.regcomm_messages;
+  dma.get_bytes += later.dma.get_bytes;
+  dma.put_bytes += later.dma.put_bytes;
+  dma.requests += later.dma.requests;
+  dma.misaligned_requests += later.dma.misaligned_requests;
+  dma_seconds += later.dma_seconds;
+  compute_seconds += later.compute_seconds;
+  fault_events += later.fault_events;
+  dma_retries += later.dma_retries;
+  if (later.failed && !failed) {
+    failed = true;
+    persistent_fault = later.persistent_fault;
+    failure = later.failure;
+  }
+}
+
 CpeContext::CpeContext(MeshExecutor& exec, CpeMesh& mesh, DmaEngine& dma,
                        int row, int col)
     : exec_(exec), mesh_(mesh), dma_(dma), row_(row), col_(col) {}

@@ -201,6 +201,11 @@ struct LaunchStats {
   /// Bytes that travelled over register-communication buses instead of
   /// memory (the §V-A "order of magnitude" saving shows up here).
   std::uint64_t regcomm_bytes() const { return regcomm_messages * 32; }
+
+  /// Folds in a launch that ran after this one on the same mesh (one
+  /// logical operation issued as several launches): every counter and
+  /// modeled time adds up, and the first failure stays the reported one.
+  void merge(const LaunchStats& later);
 };
 
 class MeshExecutor {

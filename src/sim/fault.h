@@ -106,9 +106,10 @@ class LaunchFault : public std::runtime_error {
 };
 
 /// The stateful injection engine for one campaign. Attach to a
-/// MeshExecutor (and/or NocSystem); poll_* methods advance the per-unit
-/// sequence counter for their site, decide deterministically, and log a
-/// FaultEvent when they fire. Thread-safe: executors launching on
+/// MeshExecutor; the multi-CG runner (SwConvolution::forward_multi_cg)
+/// polls its NoC link site. poll_* methods advance the per-unit sequence
+/// counter for their site, decide deterministically, and log a FaultEvent
+/// when they fire. Thread-safe: executors launching on
 /// different host threads may share one campaign.
 class FaultInjector {
  public:

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,11 @@ arch::Sw26010Spec mesh_spec(int dim) {
   spec.mesh_rows = dim;
   spec.mesh_cols = dim;
   return spec;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 struct Problem {
@@ -207,6 +213,74 @@ TEST_F(ApiConcurrentTest, ConcurrentQueriesDuringDispatchAreSafe) {
   stop.store(true);
   reader.join();
   EXPECT_NE(last_execution_route(handle_), ExecutionRoute::kNone);
+}
+
+TEST_F(ApiConcurrentTest, ForwardAndBackwardThreadsShareOneExecutor) {
+  // Every mesh launch of a handle goes through its one executor: a
+  // thread looping the forward pass and a thread looping both gradients
+  // interleave their launches on it, and every result must equal,
+  // bitwise, the same call made with the handle to itself.
+  struct Outputs {
+    std::vector<double> y, dx, dw;
+  };
+  std::vector<std::vector<double>> dys;
+  util::Rng rng(404);
+  for (const Problem& p : problems_) {
+    dys.emplace_back(static_cast<std::size_t>(p.shape.output_elements()));
+    rng.fill_uniform(dys.back(), -1, 1);
+  }
+  const auto forward = [&](std::size_t i, Outputs& o) {
+    return forward_into(problems_[i], o.y);
+  };
+  const auto backward = [&](std::size_t i, Outputs& o) {
+    const Problem& p = problems_[i];
+    o.dw.assign(static_cast<std::size_t>(p.filter.size()), -1.0);
+    o.dx.assign(static_cast<std::size_t>(p.input.size()), -1.0);
+    const Status filter_status = convolution_backward_filter(
+        handle_, p.x_desc, p.input.data().data(), p.y_desc, dys[i].data(),
+        p.w_desc, o.dw.data());
+    if (filter_status != Status::kSuccess) return filter_status;
+    return convolution_backward_data(handle_, p.w_desc,
+                                     p.filter.data().data(), p.y_desc,
+                                     dys[i].data(), p.x_desc, o.dx.data());
+  };
+
+  std::vector<Outputs> serial(problems_.size());
+  for (std::size_t i = 0; i < problems_.size(); ++i) {
+    ASSERT_EQ(forward(i, serial[i]), Status::kSuccess);
+    ASSERT_EQ(backward(i, serial[i]), Status::kSuccess);
+  }
+
+  constexpr int kReps = 6;
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::thread forward_thread([&] {
+    Outputs o;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const std::size_t i = static_cast<std::size_t>(rep) % problems_.size();
+      if (forward(i, o) != Status::kSuccess) {
+        failures.fetch_add(1);
+      } else if (!same_bits(o.y, serial[i].y)) {
+        mismatches.fetch_add(1);
+      }
+    }
+  });
+  std::thread backward_thread([&] {
+    Outputs o;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const std::size_t i = static_cast<std::size_t>(rep) % problems_.size();
+      if (backward(i, o) != Status::kSuccess) {
+        failures.fetch_add(1);
+      } else if (!same_bits(o.dw, serial[i].dw) ||
+                 !same_bits(o.dx, serial[i].dx)) {
+        mismatches.fetch_add(1);
+      }
+    }
+  });
+  forward_thread.join();
+  backward_thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -23,19 +23,21 @@ TEST(BackwardTransforms, ZeroPadPlacesGradientInTheMiddle) {
   tensor::Tensor g = make_output(s);
   g.at(0, 0, 0, 0) = 5.0;
   g.at(1, 1, 0, 0) = 7.0;
-  const tensor::Tensor padded = zero_pad_output_gradient(g, s);
-  EXPECT_EQ(padded.dims(), (std::vector<std::int64_t>{6, 6, 1, 1}));
+  tensor::Tensor padded({6, 6, 1, 1});
+  padded.fill(9.0);  // the borders must be written, not assumed zero
+  zero_pad_output_gradient(g, s, padded);
   EXPECT_EQ(padded.at(2, 2, 0, 0), 5.0);
   EXPECT_EQ(padded.at(3, 3, 0, 0), 7.0);
   EXPECT_EQ(padded.at(0, 0, 0, 0), 0.0);
+  EXPECT_EQ(padded.at(5, 5, 0, 0), 0.0);
 }
 
 TEST(BackwardTransforms, RotateFlipsSpatialAndSwapsChannels) {
   const ConvShape s = ConvShape::from_output(1, 2, 3, 2, 2, 2, 3);
   tensor::Tensor w = make_filter(s);
   w.at(0, 0, 1, 2) = 4.0;  // kr=0, kc=0, ni=1, no=2
-  const tensor::Tensor r = rotate_filter(w, s);
-  EXPECT_EQ(r.dims(), (std::vector<std::int64_t>{2, 3, 3, 2}));
+  tensor::Tensor r({2, 3, 3, 2});
+  rotate_filter(w, s, r);
   EXPECT_EQ(r.at(1, 2, 2, 1), 4.0);  // Kr-1-0=1, Kc-1-0=2, no=2, ni=1
 }
 
@@ -122,6 +124,82 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BwdCase>& info) {
       return info.param.label;
     });
+
+TEST(BackwardFilterStats, MisalignedRequestsAreTheSumOfThePerTapGemms) {
+  // Backward-filter is one mesh GEMM per filter tap; its stats are the
+  // taps' launches merged, misaligned DMA requests included (a ragged
+  // shape on a clean 2x2 mesh issues them).
+  const ConvShape s = ConvShape::from_output(3, 5, 7, 4, 6, 3, 3);
+  util::Rng rng(64);
+  tensor::Tensor in = make_input(s), dout = make_output(s);
+  rng.fill_uniform(in.data(), -1, 1);
+  rng.fill_uniform(dout.data(), -1, 1);
+
+  SwConvolution sw(mesh_spec(2));
+  tensor::Tensor dw = make_filter(s);
+  const sim::LaunchStats merged = sw.backward_filter(in, dout, dw, s);
+
+  // The same per-tap launches, issued one by one: dW(kr,kc) = In_shift^T
+  // * dOut contracted over the (ro, co, b) axis.
+  const std::int64_t s_len = s.ro() * s.co() * s.batch;
+  std::vector<double> dout_mat(static_cast<std::size_t>(s_len * s.no));
+  std::vector<double> in_mat(static_cast<std::size_t>(s_len * s.ni));
+  std::vector<double> dw_tap(static_cast<std::size_t>(s.ni * s.no));
+  for (std::int64_t ro = 0; ro < s.ro(); ++ro)
+    for (std::int64_t co = 0; co < s.co(); ++co)
+      for (std::int64_t b = 0; b < s.batch; ++b)
+        for (std::int64_t no = 0; no < s.no; ++no)
+          dout_mat[static_cast<std::size_t>(
+              ((ro * s.co() + co) * s.batch + b) * s.no + no)] =
+              dout.at(ro, co, no, b);
+  sim::MeshExecutor exec(mesh_spec(2));
+  std::uint64_t misaligned = 0, requests = 0, flops = 0;
+  for (std::int64_t kr = 0; kr < s.kr; ++kr) {
+    for (std::int64_t kc = 0; kc < s.kc; ++kc) {
+      for (std::int64_t ro = 0; ro < s.ro(); ++ro)
+        for (std::int64_t co = 0; co < s.co(); ++co)
+          for (std::int64_t b = 0; b < s.batch; ++b)
+            for (std::int64_t ni = 0; ni < s.ni; ++ni)
+              in_mat[static_cast<std::size_t>(
+                  ((ro * s.co() + co) * s.batch + b) * s.ni + ni)] =
+                  in.at(ro + kr, co + kc, ni, b);
+      const sim::LaunchStats tap =
+          mesh_gemm(exec, in_mat, dout_mat, dw_tap, s.ni, s_len, s.no);
+      misaligned += tap.dma.misaligned_requests;
+      requests += tap.dma.requests;
+      flops += tap.total_flops;
+      for (std::int64_t ni = 0; ni < s.ni; ++ni)
+        for (std::int64_t no = 0; no < s.no; ++no)
+          EXPECT_EQ(dw.at(kr, kc, ni, no),
+                    dw_tap[static_cast<std::size_t>(ni * s.no + no)]);
+    }
+  }
+  EXPECT_GT(misaligned, 0u);
+  EXPECT_EQ(merged.dma.misaligned_requests, misaligned);
+  EXPECT_EQ(merged.dma.requests, requests);
+  EXPECT_EQ(merged.total_flops, flops);
+}
+
+TEST(LaunchStatsMerge, SumsEveryCounterAndKeepsTheFirstFailure) {
+  sim::LaunchStats first;
+  first.max_compute_cycles = 10;
+  first.dma.misaligned_requests = 2;
+  first.dma_seconds = 0.5;
+  first.failed = true;
+  first.failure = "first";
+  sim::LaunchStats second = first;
+  second.persistent_fault = true;
+  second.failure = "second";
+  sim::LaunchStats total;
+  total.merge(first);
+  total.merge(second);
+  EXPECT_EQ(total.max_compute_cycles, 20u);
+  EXPECT_EQ(total.dma.misaligned_requests, 4u);
+  EXPECT_EQ(total.dma_seconds, 1.0);
+  EXPECT_TRUE(total.failed);
+  EXPECT_FALSE(total.persistent_fault);
+  EXPECT_EQ(total.failure, "first");
+}
 
 TEST(BackwardRoundTrip, ForwardThenBackwardDataIsLinearAdjoint) {
   // <conv(x, w), g> == <x, backward_data(g, w)> — the adjoint identity

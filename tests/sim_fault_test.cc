@@ -10,9 +10,10 @@
 #include <vector>
 
 #include "src/conv/mesh_gemm_driver.h"
+#include "src/conv/reference.h"
+#include "src/conv/swconv.h"
 #include "src/sim/executor.h"
 #include "src/sim/fault.h"
-#include "src/sim/noc.h"
 #include "src/util/rng.h"
 
 namespace swdnn::sim {
@@ -279,17 +280,30 @@ TEST(NocFaults, SeveredLinkFailsThePartitionedLaunchUpFront) {
   EXPECT_FALSE(injector.poll_noc_link(0));
   EXPECT_TRUE(injector.poll_noc_link(1));
 
-  NocSystem noc(mesh_spec(2));
-  noc.set_fault_injector(&injector);
+  const conv::ConvShape shape =
+      conv::ConvShape::from_output(4, 2, 2, 8, 3, 2, 2);
+  util::Rng rng(72);
+  tensor::Tensor in = conv::make_input(shape), w = conv::make_filter(shape);
+  rng.fill_uniform(in.data(), -1, 1);
+  rng.fill_uniform(w.data(), -1, 1);
+  tensor::Tensor out = conv::make_output(shape);
+  out.fill(7.0);
+
+  conv::SwConvolution sw(mesh_spec(2));
+  EventTracer tracer;
+  sw.set_fault_injector(&injector);
+  sw.set_tracer(&tracer);
   try {
-    noc.run_partitioned(8, 2, [](int, RowPartition) {
-      return [](CpeContext&) {};
-    });
+    sw.forward_multi_cg(in, w, out, shape, 2);
     FAIL() << "expected LaunchFault";
   } catch (const LaunchFault& e) {
     EXPECT_TRUE(e.persistent());
   }
   EXPECT_GT(injector.count(FaultSite::kNocLink), 0u);
+  // Up front: no CG launched (CG 0's link is healthy) and the output
+  // buffer still holds what the caller put there.
+  EXPECT_EQ(tracer.size(), 0u);
+  for (const double v : out.data()) ASSERT_EQ(v, 7.0);
 }
 
 TEST(RetryBackoff, MatchesNaiveShiftInTheSafeRange) {
@@ -422,14 +436,22 @@ TEST(NocFaults, HealthyLinksStillRun) {
   FaultPlan plan;
   plan.dead_noc_links = {3};  // only CG 3 is dead; a 2-CG run is fine
   FaultInjector injector(plan);
-  NocSystem noc(mesh_spec(2));
-  noc.set_fault_injector(&injector);
-  std::atomic<int> launches{0};
-  noc.run_partitioned(8, 2, [&](int, RowPartition) {
-    launches.fetch_add(1);
-    return [](CpeContext&) {};
-  });
-  EXPECT_EQ(launches.load(), 2);
+  const conv::ConvShape shape =
+      conv::ConvShape::from_output(4, 2, 2, 8, 3, 2, 2);
+  util::Rng rng(73);
+  tensor::Tensor in = conv::make_input(shape), w = conv::make_filter(shape);
+  rng.fill_uniform(in.data(), -1, 1);
+  rng.fill_uniform(w.data(), -1, 1);
+  tensor::Tensor expected = conv::make_output(shape);
+  conv::reference_forward(in, w, expected, shape);
+
+  conv::SwConvolution sw(mesh_spec(2));
+  sw.set_fault_injector(&injector);
+  tensor::Tensor out = conv::make_output(shape);
+  const MultiCgStats stats = sw.forward_multi_cg(in, w, out, shape, 2);
+  EXPECT_EQ(stats.per_cg.size(), 2u);
+  EXPECT_LE(expected.max_abs_diff(out), 1e-12);
+  EXPECT_EQ(injector.count(FaultSite::kNocLink), 0u);
 }
 
 }  // namespace
