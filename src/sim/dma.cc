@@ -18,11 +18,27 @@ std::uint64_t DmaEngine::cost_cycles(std::uint64_t bytes, double bw_gbs,
   return cycles < 0.0 ? 0 : static_cast<std::uint64_t>(cycles);
 }
 
+double DmaEngine::bandwidth_gbs(std::int64_t block_bytes,
+                                perf::DmaDirection dir, bool aligned) {
+  const auto kind = static_cast<std::uint8_t>(
+      (dir == perf::DmaDirection::kGet ? 0 : 2) + (aligned ? 1 : 0));
+  // Fibonacci hash of the block size (top 6 bits), mixed with the kind.
+  const std::size_t slot =
+      ((static_cast<std::uint64_t>(block_bytes) * 0x9E3779B97F4A7C15ULL) >>
+       58) ^ kind;
+  BandwidthMemo& m = memo_[slot];
+  if (m.kind != kind || m.block_bytes != block_bytes) {
+    m.block_bytes = block_bytes;
+    m.kind = kind;
+    m.gbs = perf::dma_table().bandwidth_gbs(block_bytes, dir, aligned);
+  }
+  return m.gbs;
+}
+
 std::uint64_t DmaEngine::cost(std::uint64_t bytes, std::int64_t block_bytes,
-                              perf::DmaDirection dir, bool aligned) const {
-  const double bw_gbs = perf::dma_table().bandwidth_gbs(block_bytes, dir,
-                                                        aligned);
-  return cost_cycles(bytes, bw_gbs, spec_.cpe_clock_ghz);
+                              perf::DmaDirection dir, bool aligned) {
+  return cost_cycles(bytes, bandwidth_gbs(block_bytes, dir, aligned),
+                     spec_.cpe_clock_ghz);
 }
 
 void DmaEngine::add_shard(const DmaShard& shard) {

@@ -10,6 +10,7 @@
 // The engine itself only accounts; the data movement is performed by the
 // caller (CpeContext) so the functional path stays a plain memcpy.
 
+#include <array>
 #include <cstdint>
 
 #include "src/arch/spec.h"
@@ -59,11 +60,12 @@ class DmaEngine {
   std::uint64_t record(std::uint64_t bytes, std::int64_t block_bytes,
                        perf::DmaDirection dir, bool aligned);
 
-  /// Pure cost of one request in CPE cycles — same arithmetic as
-  /// record(), no accumulation. The hot path charges costs into a
-  /// per-CPE DmaShard and folds once per launch via add_shard().
+  /// Cost of one request in CPE cycles — same arithmetic as record(),
+  /// no accumulation. The hot path charges costs into a per-CPE
+  /// DmaShard and folds once per launch via add_shard(). Not const: the
+  /// Table II lookup is memoized per engine (one launch at a time).
   std::uint64_t cost(std::uint64_t bytes, std::int64_t block_bytes,
-                     perf::DmaDirection dir, bool aligned) const;
+                     perf::DmaDirection dir, bool aligned);
 
   /// Folds one CPE's launch shard into the shared totals.
   void add_shard(const DmaShard& shard);
@@ -92,8 +94,25 @@ class DmaEngine {
   double modeled_seconds() const;
 
  private:
+  /// One memo slot: perf::dma_table().bandwidth_gbs for a (block bytes,
+  /// direction, alignment) key; `kind` is 2*direction + aligned, or
+  /// kEmpty.
+  struct BandwidthMemo {
+    static constexpr std::uint8_t kEmpty = 0xff;
+    std::int64_t block_bytes = 0;
+    std::uint8_t kind = kEmpty;
+    double gbs = 0;
+  };
+
+  /// The table's bandwidth through a direct-mapped memo: a launch
+  /// issues thousands of requests over a handful of block sizes, and
+  /// the table lookup is pure, so a hit returns the bitwise-same value.
+  double bandwidth_gbs(std::int64_t block_bytes, perf::DmaDirection dir,
+                       bool aligned);
+
   arch::Sw26010Spec spec_;  // by value: callers may pass temporaries
   DmaShard total_;          // the whole core group's traffic
+  std::array<BandwidthMemo, 64> memo_{};
 };
 
 }  // namespace swdnn::sim

@@ -3,8 +3,10 @@
 #include "src/arch/isa.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
 
 #include <cmath>
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <cstdlib>
 #include <exception>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 // Fiber-switch annotations, so the sanitizers follow the CPE fibers'
@@ -52,13 +55,20 @@ CpeContext::CpeContext(MeshExecutor& exec, CpeMesh& mesh, DmaEngine& dma,
 
 namespace {
 // Trace helper: logical timeline = the CPE's compute-cycle counter.
+// `name` is a string or a callable returning one; a callable runs only
+// when a tracer is attached, so an untraced launch formats no names.
+template <typename Name>
 void trace_event(MeshExecutor& exec, CpeCell& cell, int cpe,
-                 const char* category, std::string name,
+                 const char* category, Name&& name,
                  std::uint64_t duration_cycles) {
   if (EventTracer* tracer = exec.tracer()) {
     const std::uint64_t now = cell.compute_cycles;
-    tracer->record(cpe, category, std::move(name), now,
-                   now + duration_cycles);
+    if constexpr (std::is_invocable_v<Name>) {
+      tracer->record(cpe, category, name(), now, now + duration_cycles);
+    } else {
+      tracer->record(cpe, category, std::string(name), now,
+                     now + duration_cycles);
+    }
   }
 }
 }  // namespace
@@ -94,8 +104,9 @@ bool CpeContext::dma_attempt(std::uint64_t bytes, std::int64_t block_bytes,
   const int max_attempts = rp.max_attempts < 1 ? 1 : rp.max_attempts;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (!fi->poll_dma_fault(id())) return true;
-    trace_event(exec_, cell(), id(), "fault",
-                "dma fault (attempt " + std::to_string(attempt) + ")", 1);
+    trace_event(exec_, cell(), id(), "fault", [attempt] {
+      return "dma fault (attempt " + std::to_string(attempt) + ")";
+    }, 1);
     if (attempt == max_attempts) break;
     // Retry the tile: back off, then re-occupy the engine for the
     // repeated transfer.
@@ -126,7 +137,7 @@ void CpeContext::dma_get(std::span<const double> src, std::span<double> dst) {
   const std::uint64_t cost =
       record_dma(src.size_bytes(), bytes, perf::DmaDirection::kGet, aligned);
   trace_event(exec_, cell(), id(), "dma",
-              "get " + std::to_string(bytes) + "B", cost);
+              [bytes] { return "get " + std::to_string(bytes) + "B"; }, cost);
   if (!dma_attempt(src.size_bytes(), bytes, perf::DmaDirection::kGet,
                    aligned)) {
     return;
@@ -140,7 +151,7 @@ void CpeContext::dma_put(std::span<const double> src, std::span<double> dst) {
   const std::uint64_t cost =
       record_dma(src.size_bytes(), bytes, perf::DmaDirection::kPut, aligned);
   trace_event(exec_, cell(), id(), "dma",
-              "put " + std::to_string(bytes) + "B", cost);
+              [bytes] { return "put " + std::to_string(bytes) + "B"; }, cost);
   if (!dma_attempt(src.size_bytes(), bytes, perf::DmaDirection::kPut,
                    aligned)) {
     return;
@@ -157,10 +168,10 @@ void CpeContext::dma_get_strided(const double* src_base, std::int64_t nblocks,
   const std::uint64_t cost = record_dma(
       static_cast<std::uint64_t>(nblocks * block_bytes), block_bytes,
       perf::DmaDirection::kGet, aligned);
-  trace_event(exec_, cell(), id(), "dma",
-              "get-strided " + std::to_string(nblocks) + "x" +
-                  std::to_string(block_bytes) + "B",
-              cost);
+  trace_event(exec_, cell(), id(), "dma", [nblocks, block_bytes] {
+    return "get-strided " + std::to_string(nblocks) + "x" +
+           std::to_string(block_bytes) + "B";
+  }, cost);
   if (!dma_attempt(static_cast<std::uint64_t>(nblocks * block_bytes),
                    block_bytes, perf::DmaDirection::kGet, aligned)) {
     return;
@@ -180,10 +191,10 @@ void CpeContext::dma_put_strided(std::span<const double> src, double* dst_base,
   const std::uint64_t cost = record_dma(
       static_cast<std::uint64_t>(nblocks * block_bytes), block_bytes,
       perf::DmaDirection::kPut, aligned);
-  trace_event(exec_, cell(), id(), "dma",
-              "put-strided " + std::to_string(nblocks) + "x" +
-                  std::to_string(block_bytes) + "B",
-              cost);
+  trace_event(exec_, cell(), id(), "dma", [nblocks, block_bytes] {
+    return "put-strided " + std::to_string(nblocks) + "x" +
+           std::to_string(block_bytes) + "B";
+  }, cost);
   if (!dma_attempt(static_cast<std::uint64_t>(nblocks * block_bytes),
                    block_bytes, perf::DmaDirection::kPut, aligned)) {
     return;
@@ -198,8 +209,9 @@ void CpeContext::dma_put_strided(std::span<const double> src, double* dst_base,
 void CpeContext::maybe_stall_bus() {
   if (FaultInjector* fi = exec_.fault_injector()) {
     if (const std::uint64_t stall = fi->poll_regcomm_stall(id())) {
-      trace_event(exec_, cell(), id(), "fault",
-                  "bus stall " + std::to_string(stall) + " cycles", stall);
+      trace_event(exec_, cell(), id(), "fault", [stall] {
+        return "bus stall " + std::to_string(stall) + " cycles";
+      }, stall);
       charge_cycles(stall);
     }
   }
@@ -278,17 +290,28 @@ Vec4 CpeContext::get_col() {
 // order the Vec4 loop does — one stall poll, one trace event, one
 // message count, one issue cycle per 256-bit message — so fault
 // placement, traces, and LaunchStats are bitwise what the reference
-// path produces. Only the transfer-buffer traffic is batched.
-
-void CpeContext::bcast_row_span(std::span<const double> data) {
-  const std::size_t messages = (data.size() + 3) / 4;
-  const auto fanout = static_cast<std::uint64_t>(mesh_.cols() - 1);
-  for (std::size_t m = 0; m < messages; ++m) {
+// path produces. Only the transfer-buffer traffic is batched. With no
+// tracer and no injector nothing observes the individual messages, so
+// the loop folds into one step: `messages` saturating issue cycles and
+// fanout*messages bus messages (the same modular sum as the loop's).
+void CpeContext::charge_broadcast(std::uint64_t messages, std::uint64_t fanout,
+                                  const char* trace_name) {
+  if (exec_.tracer() == nullptr && exec_.fault_injector() == nullptr) {
+    cell().regcomm_messages += fanout * messages;
+    charge_cycles(messages);
+    return;
+  }
+  for (std::uint64_t m = 0; m < messages; ++m) {
     maybe_stall_bus();
-    trace_event(exec_, cell(), id(), "bus", "bcast-row", 1);
+    trace_event(exec_, cell(), id(), "bus", trace_name, 1);
     cell().regcomm_messages += fanout;
     charge_cycles(1);
   }
+}
+
+void CpeContext::bcast_row_span(std::span<const double> data) {
+  charge_broadcast((data.size() + 3) / 4,
+                   static_cast<std::uint64_t>(mesh_.cols() - 1), "bcast-row");
   for (int c = 0; c < mesh_.cols(); ++c) {
     if (c == col_) continue;
     mesh_.cell(row_, c).row_buffer.put_packed(data);
@@ -296,14 +319,8 @@ void CpeContext::bcast_row_span(std::span<const double> data) {
 }
 
 void CpeContext::bcast_col_span(std::span<const double> data) {
-  const std::size_t messages = (data.size() + 3) / 4;
-  const auto fanout = static_cast<std::uint64_t>(mesh_.rows() - 1);
-  for (std::size_t m = 0; m < messages; ++m) {
-    maybe_stall_bus();
-    trace_event(exec_, cell(), id(), "bus", "bcast-col", 1);
-    cell().regcomm_messages += fanout;
-    charge_cycles(1);
-  }
+  charge_broadcast((data.size() + 3) / 4,
+                   static_cast<std::uint64_t>(mesh_.rows() - 1), "bcast-col");
   for (int r = 0; r < mesh_.rows(); ++r) {
     if (r == row_) continue;
     mesh_.cell(r, col_).col_buffer.put_packed(data);
@@ -369,6 +386,159 @@ constexpr std::size_t kFiberStackBytes = 256 * 1024;
 /// pass to the fiber's entry function.
 struct FiberCancelled {};
 
+// --- Fiber switch ------------------------------------------------------------
+//
+// Two operations behind one interface: make_fiber() lays out a fresh
+// fiber so that the first switch into it calls entry(arg) on its own
+// stack, and switch_fiber() saves the running context into `from` and
+// resumes `to`. No launch changes the signal mask, so a switch carries
+// only what the ABI says a call preserves.
+
+#if defined(__x86_64__)
+
+// x86-64 System V. A switch pushes the callee-saved registers (rbp, rbx,
+// r12-r15) and then MXCSR and the x87 control word (the rounding modes)
+// onto the outgoing stack, stores rsp, loads the incoming rsp and pops
+// the same frame: no system call (glibc's swapcontext makes an
+// rt_sigprocmask call on every switch). A fresh fiber's frame returns
+// into swdnn_fiber_start, which calls r12(r13).
+extern "C" void swdnn_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void swdnn_fiber_start();
+
+asm(R"(
+  .text
+  .p2align 4
+  .globl swdnn_fiber_switch
+  .hidden swdnn_fiber_switch
+  .type swdnn_fiber_switch, @function
+swdnn_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size swdnn_fiber_switch, .-swdnn_fiber_switch
+
+  .p2align 4
+  .globl swdnn_fiber_start
+  .hidden swdnn_fiber_start
+  .type swdnn_fiber_start, @function
+swdnn_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r13, %rdi
+  callq *%r12
+  ud2
+  .cfi_endproc
+  .size swdnn_fiber_start, .-swdnn_fiber_start
+)");
+
+struct FiberContext {
+  void* sp = nullptr;  ///< saved stack pointer (top of the switch frame)
+};
+
+// The frame swdnn_fiber_switch pops, from the lowest address: MXCSR and
+// x87 control word, r15, r14, r13 (arg), r12 (entry), rbx, rbp, the
+// return address (swdnn_fiber_start), then 16 bytes of zeros. After the
+// return rsp sits 16-byte aligned, as the ABI requires at a call. The
+// rounding modes are the calling thread's: a kernel starts with the
+// launching thread's floating-point control state.
+void make_fiber(FiberContext& ctx, char* stack, std::size_t bytes,
+                void (*entry)(void*), void* arg) {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpucw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpucw));
+  const std::uintptr_t top =
+      (reinterpret_cast<std::uintptr_t>(stack) + bytes) & ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<std::uint64_t*>(top) - 10;
+  frame[0] = mxcsr | static_cast<std::uint64_t>(fpucw) << 32;
+  frame[1] = 0;
+  frame[2] = 0;
+  frame[3] = reinterpret_cast<std::uintptr_t>(arg);
+  frame[4] = reinterpret_cast<std::uintptr_t>(entry);
+  frame[5] = 0;
+  frame[6] = 0;
+  frame[7] = reinterpret_cast<std::uintptr_t>(&swdnn_fiber_start);
+  frame[8] = 0;
+  frame[9] = 0;
+  ctx.sp = frame;
+}
+
+inline void switch_fiber(FiberContext& from, FiberContext& to) {
+  swdnn_fiber_switch(&from.sp, to.sp);
+}
+
+#else
+
+// Other targets: the same two operations over ucontext.
+struct FiberContext {
+  ucontext_t uc{};
+  void (*entry)(void*) = nullptr;
+  void* arg = nullptr;
+};
+
+// makecontext passes int arguments only, so the context pointer travels
+// in two halves.
+void ucontext_start(unsigned hi, unsigned lo) {
+  auto* ctx = reinterpret_cast<FiberContext*>(static_cast<std::uintptr_t>(
+      (static_cast<std::uint64_t>(hi) << 32) | lo));
+  ctx->entry(ctx->arg);
+}
+
+void make_fiber(FiberContext& ctx, char* stack, std::size_t bytes,
+                void (*entry)(void*), void* arg) {
+  ctx.entry = entry;
+  ctx.arg = arg;
+  getcontext(&ctx.uc);
+  ctx.uc.uc_stack.ss_sp = stack;
+  ctx.uc.uc_stack.ss_size = bytes;
+  ctx.uc.uc_link = nullptr;
+  const auto self =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&ctx));
+  makecontext(&ctx.uc, reinterpret_cast<void (*)()>(&ucontext_start), 2,
+              static_cast<unsigned>(self >> 32),
+              static_cast<unsigned>(self & 0xffffffffu));
+}
+
+inline void switch_fiber(FiberContext& from, FiberContext& to) {
+  swapcontext(&from.uc, &to.uc);
+}
+
+#endif
+
 enum class Wait : std::uint8_t {
   kNone,      ///< runnable (not started yet)
   kRowData,   ///< Get on its own empty row buffer
@@ -383,7 +553,7 @@ enum class Wait : std::uint8_t {
 
 struct MeshExecutor::Fibers {
   struct Fiber {
-    ucontext_t context{};
+    FiberContext context;
     char* stack = nullptr;  ///< lowest usable byte (a guard page below)
     Wait wait = Wait::kNone;
     const TransferBuffer* buffer = nullptr;  ///< for data/space waits
@@ -442,7 +612,7 @@ struct MeshExecutor::Fibers {
 #ifdef SWDNN_TSAN_FIBERS
     __tsan_switch_to_fiber(f.tsan, 0);
 #endif
-    swapcontext(&host, &f.context);
+    switch_fiber(host, f.context);
 #ifdef SWDNN_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -453,7 +623,7 @@ struct MeshExecutor::Fibers {
   void yield() {
     Fiber& f = fibers[static_cast<std::size_t>(current)];
     before_host_switch(&f);
-    swapcontext(&f.context, &host);
+    switch_fiber(f.context, host);
     after_switch_in(&f);
   }
 
@@ -478,12 +648,12 @@ struct MeshExecutor::Fibers {
     (void)f;
   }
 
-  /// Entry point of every CPE fiber. makecontext passes int arguments
-  /// only, so the Fibers pointer travels in two halves.
-  static void entry(unsigned hi, unsigned lo, int id) {
-    auto* set = reinterpret_cast<Fibers*>(
-        (static_cast<std::uintptr_t>(hi) << 32) | lo);
+  /// Entry point of every CPE fiber; the fiber's id is `current`, set
+  /// by the resume that starts it.
+  static void entry(void* arg) {
+    auto* set = static_cast<Fibers*>(arg);
     set->after_switch_in(nullptr);
+    const int id = set->current;
     const int cols = set->exec->mesh_.cols();
     try {
       if (!set->cancel) {
@@ -492,27 +662,19 @@ struct MeshExecutor::Fibers {
     } catch (const FiberCancelled&) {
       // Unwound after a deadlock; the scheduler throws MeshDeadlock.
     }
-    set->fibers[static_cast<std::size_t>(id)].wait = Wait::kDone;
+    Fiber& f = set->fibers[static_cast<std::size_t>(id)];
+    f.wait = Wait::kDone;
     set->before_host_switch(nullptr);
-    setcontext(&set->host);
+    switch_fiber(f.context, set->host);  // never resumed until re-armed
   }
 
   /// Points every fiber at the start of `entry` for a new launch.
   void arm(const Kernel& k) {
     kernel = &k;
     cancel = false;
-    const auto self = reinterpret_cast<std::uintptr_t>(this);
-    for (std::size_t i = 0; i < fibers.size(); ++i) {
-      Fiber& f = fibers[i];
+    for (Fiber& f : fibers) {
       f.wait = Wait::kNone;
-      getcontext(&f.context);
-      f.context.uc_stack.ss_sp = f.stack;
-      f.context.uc_stack.ss_size = kFiberStackBytes;
-      f.context.uc_link = nullptr;
-      makecontext(&f.context, reinterpret_cast<void (*)()>(&Fibers::entry), 3,
-                  static_cast<unsigned>(self >> 32),
-                  static_cast<unsigned>(self & 0xffffffffu),
-                  static_cast<int>(i));
+      make_fiber(f.context, f.stack, kFiberStackBytes, &Fibers::entry, this);
     }
 #ifdef SWDNN_TSAN_FIBERS
     host_tsan = __tsan_get_current_fiber();
@@ -524,7 +686,7 @@ struct MeshExecutor::Fibers {
 
   MeshExecutor* const exec;
   std::vector<Fiber> fibers;
-  ucontext_t host{};
+  FiberContext host;
   int current = -1;      ///< fiber running now, -1 on the host
   bool cancel = false;   ///< unwinding after a deadlock
   const Kernel* kernel = nullptr;

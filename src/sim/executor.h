@@ -159,6 +159,8 @@ class CpeContext {
                    perf::DmaDirection dir, bool aligned);
   bool dma_aligned(std::int64_t bytes);
   void maybe_stall_bus();
+  void charge_broadcast(std::uint64_t messages, std::uint64_t fanout,
+                        const char* trace_name);
   std::uint64_t record_dma(std::uint64_t bytes, std::int64_t block_bytes,
                            perf::DmaDirection dir, bool aligned);
 
@@ -219,12 +221,20 @@ class MeshExecutor {
   MeshExecutor& operator=(const MeshExecutor&) = delete;
 
   /// Runs `kernel` once per CPE as fibers on the calling thread and
-  /// returns the aggregated statistics. Throws MeshDeadlock when the
-  /// CPEs block each other for good. Any other exception escaping a
-  /// kernel aborts the process with a diagnostic: a throwing kernel is a
-  /// programming error. Not reentrant: one launch at a time per executor
-  /// (callers that share an executor across threads serialize
-  /// externally).
+  /// returns the aggregated statistics. Each fiber starts with the
+  /// calling thread's floating-point control state (rounding mode); a
+  /// kernel that changes it changes only its own fiber's, never the
+  /// caller's or another CPE's. Fibers switch only at the blocking
+  /// points, by saving and restoring the callee-saved registers and the
+  /// control state (no system call; see DESIGN.md §12). With neither a
+  /// tracer nor a fault injector attached, nothing observes individual
+  /// bus messages, so span broadcasts charge their per-message cycles
+  /// and counts in one step; the statistics are identical either way.
+  /// Throws MeshDeadlock when the CPEs block each other for good. Any
+  /// other exception escaping a kernel aborts the process with a
+  /// diagnostic: a throwing kernel is a programming error. Not
+  /// reentrant: one launch at a time per executor (callers that share
+  /// an executor across threads serialize externally).
   LaunchStats run(const Kernel& kernel);
 
   const arch::Sw26010Spec& spec() const { return spec_; }

@@ -19,10 +19,15 @@ LdmAllocator::LdmAllocator(std::size_t capacity_bytes)
       arena_(new double[capacity_bytes / sizeof(double) + 1]) {}
 
 std::span<double> LdmAllocator::alloc_doubles(std::size_t count) {
-  const std::size_t bytes = count * sizeof(double);
-  if (used_bytes_ + bytes > capacity_bytes_) {
-    throw LdmOverflow(bytes, used_bytes_, capacity_bytes_);
+  // Compared in doubles against the free space, so neither the byte
+  // count nor the new total can wrap.
+  if (count > (capacity_bytes_ - used_bytes_) / sizeof(double)) {
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    throw LdmOverflow(
+        count > kMax / sizeof(double) ? kMax : count * sizeof(double),
+        used_bytes_, capacity_bytes_);
   }
+  const std::size_t bytes = count * sizeof(double);
   if (injector_ != nullptr) {
     const std::size_t loss = injector_->ldm_capacity_loss();
     const std::size_t usable =

@@ -1,41 +1,47 @@
 #include "src/sim/regcomm.h"
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace swdnn::sim {
 
+void TransferBuffer::consume(std::size_t doubles) {
+  head_ += doubles;
+  if (head_ == data_.size()) {
+    clear();
+  } else if (head_ > data_.size() / 2) {
+    data_.erase(data_.begin(),
+                data_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
 Vec4 TransferBuffer::get() {
-  if (queue_.empty()) {
+  if (empty()) {
     throw std::logic_error("TransferBuffer::get on an empty buffer");
   }
-  const Vec4 value = queue_.front();
-  queue_.pop_front();
+  Vec4 value;
+  std::memcpy(value.lane, data_.data() + head_, sizeof(value.lane));
+  consume(4);
   return value;
 }
 
 void TransferBuffer::put_packed(std::span<const double> data) {
-  for (std::size_t off = 0; off < data.size(); off += 4) {
-    Vec4 v;
-    for (int l = 0; l < 4; ++l) {
-      const std::size_t idx = off + static_cast<std::size_t>(l);
-      v.lane[l] = idx < data.size() ? data[idx] : 0.0;
-    }
-    queue_.push_back(v);
-  }
+  data_.insert(data_.end(), data.begin(), data.end());
+  // Zero the trailing lanes of a final partial message.
+  data_.resize(data_.size() + (4 - data.size() % 4) % 4, 0.0);
 }
 
 std::size_t TransferBuffer::get_unpacked(std::span<double> out) {
-  std::size_t off = 0;
-  while (off < out.size() && !queue_.empty()) {
-    const Vec4& v = queue_.front();
-    for (int l = 0; l < 4; ++l) {
-      const std::size_t idx = off + static_cast<std::size_t>(l);
-      if (idx < out.size()) out[idx] = v.lane[l];
-    }
-    queue_.pop_front();
-    off += 4;
+  // Whole messages: a final partial message's padding is discarded.
+  const std::size_t messages = std::min(size(), (out.size() + 3) / 4);
+  const std::size_t doubles = std::min(messages * 4, out.size());
+  if (doubles > 0) {
+    std::memcpy(out.data(), data_.data() + head_, doubles * sizeof(double));
   }
-  return off < out.size() ? off : out.size();
+  consume(messages * 4);
+  return doubles;
 }
 
 }  // namespace swdnn::sim

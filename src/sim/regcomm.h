@@ -9,16 +9,20 @@
 // hardware also offers row/column broadcast, which the vldr/vldc-based
 // kernels use (Section V-C).
 //
-// The simulator implements a TransferBuffer as a plain FIFO. A CPE owns
-// two receive buffers: one fed by its row bus, one by its column bus.
-// Message order on one bus is FIFO per sender and, because a bus
-// serializes, FIFO globally per buffer.
+// The simulator implements a TransferBuffer as a flat FIFO: one reused
+// std::vector<double> of packed 4-double messages with a read head. A
+// CPE owns two receive buffers: one fed by its row bus, one by its
+// column bus. Message order on one bus is FIFO per sender and, because
+// a bus serializes, FIFO globally per buffer.
 //
 // The buffer itself never blocks: all CPEs of a launch run as fibers on
 // one host thread (executor.h), and the blocking discipline lives in
 // CpeContext, which yields to the scheduler before a Get on an empty
-// buffer and before a Vec4 Put into a buffer at its slot capacity. Two
-// access disciplines share the queue:
+// buffer and before a Vec4 Put into a buffer at its slot capacity. The
+// storage keeps its capacity across clear() and across launches; it
+// rewinds when drained and compacts when the read head passes half of
+// it, so a steady stream of puts and gets allocates nothing. Two
+// access disciplines share the storage:
 //   * the Vec4 reference path (put/get) — one message at a time,
 //     back-pressured at the hardware buffer depth; and
 //   * the bulk span path (put_packed/get_unpacked) — a whole tile's
@@ -30,8 +34,8 @@
 //     in the caller.
 
 #include <cstddef>
-#include <deque>
 #include <span>
+#include <vector>
 
 namespace swdnn::sim {
 
@@ -63,7 +67,9 @@ class TransferBuffer {
 
   /// Enqueues one message (sender side of a bus Put). Does not check
   /// the capacity: the sender waits for a free slot before calling.
-  void put(const Vec4& value) { queue_.push_back(value); }
+  void put(const Vec4& value) {
+    data_.insert(data_.end(), value.lane, value.lane + 4);
+  }
 
   /// Dequeues the oldest message (receiver's Get into its register
   /// file). Requires !empty().
@@ -81,18 +87,28 @@ class TransferBuffer {
   /// written (out.size() once enough messages were buffered).
   std::size_t get_unpacked(std::span<double> out);
 
-  /// Drops any buffered messages (launch-boundary reset).
-  void clear() { queue_.clear(); }
+  /// Drops any buffered messages (launch-boundary reset); the storage
+  /// keeps its capacity.
+  void clear() {
+    data_.clear();
+    head_ = 0;
+  }
 
-  std::size_t size() const { return queue_.size(); }
-  bool empty() const { return queue_.empty(); }
+  /// Buffered messages.
+  std::size_t size() const { return (data_.size() - head_) / 4; }
+  bool empty() const { return head_ == data_.size(); }
   /// At or past the slot capacity (bulk puts may overfill).
-  bool full() const { return queue_.size() >= capacity_; }
+  bool full() const { return size() >= capacity_; }
   std::size_t capacity() const { return capacity_; }
 
  private:
+  /// Advances the read head past `doubles` consumed values; rewinds a
+  /// drained buffer and compacts once the head passes half the data.
+  void consume(std::size_t doubles);
+
   const std::size_t capacity_;
-  std::deque<Vec4> queue_;
+  std::vector<double> data_;  ///< messages, 4 doubles each, oldest first
+  std::size_t head_ = 0;      ///< index of the oldest buffered double
 };
 
 }  // namespace swdnn::sim

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/executor.h"
@@ -300,6 +302,149 @@ TEST(MeshDeadlock, ColumnGetAndFullBufferAreNamed) {
       std::string::npos)
       << what;
   expect_clean_launch(exec);
+}
+
+// --- The fiber switch contract ----------------------------------------------
+//
+// A switch between CPE fibers carries the callee-saved registers and the
+// floating-point control state (rounding mode), and a fresh fiber
+// starts on an ABI-aligned stack with the launching thread's control
+// state.
+
+/// a/b in the current rounding mode (volatile: no constant folding).
+/// 1/10 rounds down and 1/3 rounds up under FE_TONEAREST, so FE_DOWNWARD
+/// changes the first and FE_UPWARD the second.
+double divide(double a, double b) {
+  volatile double x = a;
+  volatile double y = b;
+  return x / y;
+}
+
+/// Restores the host's rounding mode however the test ends.
+struct RoundingGuard {
+  int saved = std::fegetround();
+  ~RoundingGuard() { std::fesetround(saved); }
+};
+
+TEST(FiberSwitch, KernelSeesTheLaunchingThreadsRoundingMode) {
+  RoundingGuard guard;
+  MeshExecutor exec(mesh_spec(2));
+  std::vector<int> mode(4, -1);
+  std::vector<double> tenth(4, 0);
+  ASSERT_EQ(std::fesetround(FE_DOWNWARD), 0);
+  const double want = divide(1, 10);
+  exec.run([&](CpeContext& ctx) {
+    const auto id = static_cast<std::size_t>(ctx.id());
+    ctx.sync();  // resumed at least once after the first switch in
+    mode[id] = std::fegetround();
+    tenth[id] = divide(1, 10);
+  });
+  EXPECT_EQ(std::fegetround(), FE_DOWNWARD);
+  std::fesetround(FE_TONEAREST);
+  EXPECT_NE(want, divide(1, 10));
+  for (std::size_t id = 0; id < 4; ++id) {
+    EXPECT_EQ(mode[id], FE_DOWNWARD) << id;
+    EXPECT_EQ(tenth[id], want) << id;
+  }
+}
+
+TEST(FiberSwitch, RoundingModeChangesStayInTheirFiber) {
+  RoundingGuard guard;
+  ASSERT_EQ(std::fesetround(FE_TONEAREST), 0);
+  const double nearest = divide(1, 3);
+  MeshExecutor exec(mesh_spec(2));
+  std::vector<int> mode(4, -1);
+  std::vector<double> third(4, 0);
+  std::vector<int> peer_mode;
+  exec.run([&](CpeContext& ctx) {
+    const auto id = static_cast<std::size_t>(ctx.id());
+    ctx.sync();
+    if (id == 0) {
+      std::fesetround(FE_UPWARD);
+      // Block on a Get so CPE 1 runs while CPE 0 holds FE_UPWARD.
+      ctx.get_row();
+    } else if (id == 1) {
+      peer_mode.push_back(std::fegetround());
+      ctx.put_row(0, Vec4::splat(1.0));
+    }
+    ctx.sync();
+    mode[id] = std::fegetround();
+    third[id] = divide(1, 3);
+  });
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(divide(1, 3), nearest);
+  ASSERT_EQ(peer_mode.size(), 1u);
+  EXPECT_EQ(peer_mode[0], FE_TONEAREST);
+  EXPECT_EQ(mode[0], FE_UPWARD);
+  EXPECT_GT(third[0], nearest);
+  for (std::size_t id = 1; id < 4; ++id) {
+    EXPECT_EQ(mode[id], FE_TONEAREST) << id;
+    EXPECT_EQ(third[id], nearest) << id;
+  }
+}
+
+/// Address remainders of over-aligned locals in a fresh frame.
+[[gnu::noinline]] std::uintptr_t misalignment() {
+  alignas(16) volatile double pair[2] = {0, 0};
+  alignas(32) volatile double quad[4] = {0, 0, 0, 0};
+  return (reinterpret_cast<std::uintptr_t>(pair) % 16) |
+         (reinterpret_cast<std::uintptr_t>(quad) % 32);
+}
+
+TEST(FiberSwitch, FiberStacksKeepLocalsAligned) {
+  MeshExecutor exec(mesh_spec(2));
+  std::vector<std::uintptr_t> before(4, 1), after(4, 1);
+  exec.run([&](CpeContext& ctx) {
+    const auto id = static_cast<std::size_t>(ctx.id());
+    before[id] = misalignment();
+    ctx.sync();
+    after[id] = misalignment();
+  });
+  for (std::size_t id = 0; id < 4; ++id) {
+    EXPECT_EQ(before[id], 0u) << id;
+    EXPECT_EQ(after[id], 0u) << id;
+  }
+}
+
+TEST(FiberSwitch, LocalsSurviveManyYields) {
+  // Every CPE keeps running sums in locals across hundreds of Gets and
+  // barriers; each Get on an empty buffer and each sync switches fibers.
+  MeshExecutor exec(mesh_spec(4));
+  constexpr int kRounds = 300;
+  std::vector<double> sums(16, 0);
+  std::vector<std::uint64_t> mixes(16, 0);
+  exec.run([&](CpeContext& ctx) {
+    const int right = (ctx.col() + 1) % 4;
+    const int below = (ctx.row() + 1) % 4;
+    double sum = 0;
+    std::uint64_t mix = static_cast<std::uint64_t>(ctx.id()) + 1;
+    int yields = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      ctx.put_row(right, Vec4::splat(ctx.id() + round));
+      ctx.put_col(below, Vec4::splat(-round));
+      sum += ctx.get_row().lane[0] + ctx.get_col().lane[3];
+      mix = mix * 6364136223846793005ULL + static_cast<std::uint64_t>(round);
+      if (round % 7 == 0) {
+        ctx.sync();
+        ++yields;
+      }
+    }
+    sums[static_cast<std::size_t>(ctx.id())] = sum + yields;
+    mixes[static_cast<std::size_t>(ctx.id())] = mix;
+  });
+  for (int id = 0; id < 16; ++id) {
+    // From the left neighbour: its id + round; from above: -round.
+    const int left = (id / 4) * 4 + (id % 4 + 3) % 4;
+    double sum = 0;
+    std::uint64_t mix = static_cast<std::uint64_t>(id) + 1;
+    for (int round = 0; round < kRounds; ++round) {
+      sum += (left + round) + (-round);
+      mix = mix * 6364136223846793005ULL + static_cast<std::uint64_t>(round);
+    }
+    EXPECT_EQ(sums[static_cast<std::size_t>(id)], sum + (kRounds + 6) / 7)
+        << id;
+    EXPECT_EQ(mixes[static_cast<std::size_t>(id)], mix) << id;
+  }
 }
 
 }  // namespace

@@ -83,6 +83,66 @@ TEST(FiberGoldenFixture, CoversEveryCase) {
   EXPECT_EQ(fixture().size(), all_cases().size());
 }
 
+// The fixture's launches always attach a tracer, so they never take
+// the untraced fold of the per-message broadcast accounting (one step
+// instead of a loop when neither a tracer nor an injector observes the
+// messages). Each family's untraced, uninjected launch must report the
+// traced launch's LaunchStats field by field, and the same output.
+struct FamilyMesh {
+  golden::Family family;
+  int mesh;
+};
+
+void PrintTo(const FamilyMesh& c, std::ostream* os) {
+  *os << golden::case_name(c.family, c.mesh, false);
+}
+
+std::vector<FamilyMesh> all_family_meshes() {
+  std::vector<FamilyMesh> cases;
+  for (golden::Family f : golden::kFamilies) {
+    for (int mesh : golden::kMeshDims) cases.push_back({f, mesh});
+  }
+  return cases;
+}
+
+class UntracedLaunch : public ::testing::TestWithParam<FamilyMesh> {};
+
+TEST_P(UntracedLaunch, StatsEqualTheTracedLaunch) {
+  const FamilyMesh& c = GetParam();
+  sim::MeshExecutor traced(golden::mesh_spec(c.mesh));
+  sim::EventTracer tracer;
+  traced.set_tracer(&tracer);
+  sim::MeshExecutor untraced(golden::mesh_spec(c.mesh));
+  const golden::CaseResult want = golden::run_family(traced, c.family, c.mesh);
+  const golden::CaseResult got =
+      golden::run_family(untraced, c.family, c.mesh);
+  EXPECT_GT(tracer.size(), 0u);
+  const sim::LaunchStats& w = want.stats;
+  const sim::LaunchStats& g = got.stats;
+  EXPECT_EQ(g.max_compute_cycles, w.max_compute_cycles);
+  EXPECT_EQ(g.total_flops, w.total_flops);
+  EXPECT_EQ(g.regcomm_messages, w.regcomm_messages);
+  EXPECT_EQ(g.dma.get_bytes, w.dma.get_bytes);
+  EXPECT_EQ(g.dma.put_bytes, w.dma.put_bytes);
+  EXPECT_EQ(g.dma.requests, w.dma.requests);
+  EXPECT_EQ(g.dma.misaligned_requests, w.dma.misaligned_requests);
+  EXPECT_EQ(g.dma_seconds, w.dma_seconds);
+  EXPECT_EQ(g.compute_seconds, w.compute_seconds);
+  EXPECT_EQ(g.failed, w.failed);
+  EXPECT_EQ(g.persistent_fault, w.persistent_fault);
+  EXPECT_EQ(g.failure, w.failure);
+  EXPECT_EQ(g.fault_events, w.fault_events);
+  EXPECT_EQ(g.dma_retries, w.dma_retries);
+  EXPECT_EQ(got.output_hash, want.output_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, UntracedLaunch, ::testing::ValuesIn(all_family_meshes()),
+    [](const ::testing::TestParamInfo<FamilyMesh>& info) {
+      return std::string(golden::family_name(info.param.family)) + "_mesh" +
+             std::to_string(info.param.mesh);
+    });
+
 INSTANTIATE_TEST_SUITE_P(
     Launches, FiberGolden, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/sim/ldm.h"
 
 namespace swdnn::sim {
@@ -55,6 +57,21 @@ TEST(Ldm, OverflowMessageIsDiagnostic) {
     EXPECT_NE(msg.find("256"), std::string::npos);
     EXPECT_NE(msg.find("128"), std::string::npos);
   }
+}
+
+TEST(Ldm, HugeRequestsThrowInsteadOfWrapping) {
+  // count * sizeof(double) wraps for these counts; the capacity check
+  // must still refuse them and leave the arena as it was.
+  LdmAllocator ldm(64 * 1024);
+  ldm.alloc_doubles(4);
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  for (std::size_t count : {max, max - 1, max / 8 + 1, max / 8 + 2,
+                            (max - 32) / 8 + 1}) {
+    EXPECT_THROW(ldm.alloc_doubles(count), LdmOverflow) << count;
+    EXPECT_EQ(ldm.bytes_used(), 32u) << count;
+  }
+  EXPECT_NO_THROW(ldm.alloc_doubles(8188));
+  EXPECT_EQ(ldm.bytes_free(), 0u);
 }
 
 }  // namespace
